@@ -13,18 +13,16 @@ Exit codes: 0 on success, 2 on configuration errors, 3 on I/O errors.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
-import os
 import sys
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor
 from pathlib import Path
 
-from .engine import compare_withdrawal, run_batch
+from .engine import BatchResult, run_batches
 from .pool import NonPositiveDenominatorError, PoolState, ZeroVolumeError, quote_premium
 from .reports import (
     ReportBundle,
+    config_record,
     diff_row_from_metrics_record,
     export_bundle,
     format_summary,
@@ -79,10 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--policy", choices=("both", "with", "without"), default="both",
                          help="run withdrawal and/or no-withdrawal batches (default both)")
         cmd.add_argument("--out", default="results", help="output directory (default results/)")
-        cmd.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                         help="process-level parallelism for batch runs")
         cmd.add_argument("--format", choices=("json", "csv", "both"), default="both",
-                         help="metrics file format (default both)")
+                         help="metrics file format (default both); metrics.json, "
+                              "which resume and the diff report read, is always written")
         cmd.add_argument("--verbose", action="store_true", help="print per-cell timing")
         cmd.set_defaults(func=cmd_simulate if name == "simulate" else cmd_sweep)
     return parser
@@ -140,30 +137,31 @@ def _apply_overrides(config: ScenarioConfig, args: argparse.Namespace) -> Scenar
 
 
 def _formats(args: argparse.Namespace) -> tuple[str, ...]:
-    return ("json", "csv") if args.format == "both" else (args.format,)
+    # metrics.json is the machine record that resume and the diff report read
+    return ("json",) if args.format == "json" else ("json", "csv")
 
 
-@contextlib.contextmanager
-def _executor(jobs: int):
-    """One shared worker pool per invocation; None when running serially."""
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            yield pool
-    else:
-        yield None
+_POLICY_NAMES = {
+    "both": ("no_withdrawal", "withdrawal"),
+    "without": ("no_withdrawal",),
+    "with": ("withdrawal",),
+}
 
 
-def _run_cell(config: ScenarioConfig, policy: str, executor: Executor | None) -> ReportBundle:
-    if policy == "both":
-        return ReportBundle.from_comparison(compare_withdrawal(config, executor=executor))
-    enabled = policy == "with"
-    batch = run_batch(config.replace(withdrawal_enabled=enabled), executor=executor)
-    return ReportBundle(
-        scenario_id=config.scenario_id,
-        config=batch.config,
-        no_withdrawal=None if enabled else batch,
-        withdrawal=batch if enabled else None,
-    )
+def _policy_configs(config: ScenarioConfig, policy: str) -> list[ScenarioConfig]:
+    """One batch config per policy name of ``policy``, in bundle order."""
+    return [
+        config.replace(withdrawal_enabled=name == "withdrawal") for name in _POLICY_NAMES[policy]
+    ]
+
+
+def _bundle(config: ScenarioConfig, policy: str, batches: list[BatchResult]) -> ReportBundle:
+    results = dict(zip(_POLICY_NAMES[policy], batches))
+    return ReportBundle(scenario_id=config.scenario_id, config=batches[-1].config, **results)
+
+
+def _run_cell(config: ScenarioConfig, policy: str) -> ReportBundle:
+    return _bundle(config, policy, run_batches(_policy_configs(config, policy)))
 
 
 def _cell_name(config: ScenarioConfig) -> str:
@@ -172,8 +170,7 @@ def _cell_name(config: ScenarioConfig) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    with _executor(args.jobs) as executor:
-        bundle = _run_cell(config, args.policy, executor)
+    bundle = _run_cell(config, args.policy)
     cell_dir = Path(args.out) / _cell_name(config)
     export_bundle(bundle, cell_dir, _formats(args))
     print(format_summary(bundle))
@@ -181,35 +178,50 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _is_complete(cell_dir: Path, config: ScenarioConfig, policy: str) -> bool:
+    """True when the cell holds a machine record of exactly this config and these policies."""
+    try:
+        stored = json.loads((cell_dir / "config.json").read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return False
+    expected = config_record(_POLICY_NAMES[policy], _policy_configs(config, policy)[-1])
+    return stored == expected and (cell_dir / "metrics.json").is_file()
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     cells = [
-        (scenario_id, period)
+        _apply_overrides(scenario_preset(scenario_id, withdrawal_period_days=period), args)
         for scenario_id in SWEEP_IDS
         for period in WITHDRAWAL_PERIODS
     ]
-    with _executor(args.jobs) as executor:
-        for scenario_id, period in cells:
-            config = _apply_overrides(
-                scenario_preset(scenario_id, withdrawal_period_days=period), args
-            )
-            cell_dir = out_dir / _cell_name(config)
-            if (cell_dir / "metrics.json").exists():
-                print(f"{_cell_name(config)}: already complete, skipping")
-                continue
-            started = time.perf_counter()
-            bundle = _run_cell(config, args.policy, executor)
-            export_bundle(bundle, cell_dir, _formats(args))
-            note = f" [{time.perf_counter() - started:.1f}s]" if args.verbose else ""
-            profits = {
-                name: getattr(bundle, name).metrics.amm_profit_pct for name in bundle.policies
-            }
-            shown = ", ".join(f"{name} profit {value:.2f}%" for name, value in profits.items())
-            print(f"{_cell_name(config)}: {shown}{note}")
+    pending = []
+    for config in cells:
+        if _is_complete(out_dir / _cell_name(config), config, args.policy):
+            print(f"{_cell_name(config)}: already complete, skipping")
+        else:
+            pending.append(config)
+
+    started = time.perf_counter()
+    batches = iter(run_batches(
+        [batch for config in pending for batch in _policy_configs(config, args.policy)]
+    ))
+    if args.verbose and pending:
+        print(f"simulated {len(pending)} cells [{time.perf_counter() - started:.1f}s]")
+    for config in pending:
+        started = time.perf_counter()
+        bundle = _bundle(config, args.policy, [next(batches) for _ in _POLICY_NAMES[args.policy]])
+        export_bundle(bundle, out_dir / _cell_name(config), _formats(args))
+        note = f" [{time.perf_counter() - started:.1f}s]" if args.verbose else ""
+        profits = {
+            name: getattr(bundle, name).metrics.amm_profit_pct for name in bundle.policies
+        }
+        shown = ", ".join(f"{name} profit {value:.2f}%" for name, value in profits.items())
+        print(f"{_cell_name(config)}: {shown}{note}")
 
     rows = []
-    for scenario_id, period in cells:
-        metrics_path = out_dir / f"{scenario_id}_p{period}" / "metrics.json"
+    for config in cells:
+        metrics_path = out_dir / _cell_name(config) / "metrics.json"
         if not metrics_path.exists():
             continue
         record = json.loads(metrics_path.read_text(encoding="utf-8"))

@@ -11,16 +11,22 @@ day's repayments but not yet reduced by the same day's withdrawal.
 
 A batch runs ``n_simulations`` independent simulations whose random
 streams derive from ``(seed, simulation_index)`` and averages every
-metric and every day of the time series arithmetically.  Simulations
-are independent and can run across processes; results are always
-reduced in simulation-index order so batch output is reproducible
-regardless of scheduling.
+metric and every day of the time series arithmetically.
+
+``run_simulation`` is the scalar loop over one simulation's ledger.
+``run_batches`` is the batch entry point: it steps many simulations
+("lanes") through the days at once as numpy arrays, with the same float
+operations in the same order, so every lane ends bit-identical to the
+scalar loop.  Batches that differ only in their withdrawal settings
+share one decoded stream per simulation, and series sums are reduced in
+simulation order, so a batch's result does not depend on which other
+batches ran beside it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -37,12 +43,23 @@ from .pool import (
     finalize_losses,
     lp_deposit,
     repay_invoice,
+    sum_in_order,
     withdraw_premium,
 )
-from .scenarios import ScenarioConfig, generate_stream, lp_contribution_schedule, simulation_rng
+from .scenarios import (
+    ScenarioConfig,
+    decode_streams,
+    generate_stream,
+    lp_contribution_schedule,
+    simulation_rng,
+)
 
 # Internal ledger guard; the reporting-grade tolerance is asserted in tests.
 _CONSERVATION_GUARD = 1e-6
+
+# Most lanes one pass steps at once.  A pass's working memory grows with
+# its lane count; more, smaller passes cost more per-day array calls.
+_LANE_BUDGET = 2048
 
 
 @dataclass(frozen=True)
@@ -198,7 +215,12 @@ def run_simulation(config: ScenarioConfig, sim_index: int = 0) -> SimulationResu
         if day < config.max_entry_days and day < len(invoices):
             arriving = invoices[day]
         run_day(pool, day, due.pop(day, ()), arriving, config, float(deposits[day]))
-        if arriving is not None and arriving.accepted and arriving.due_day < horizon:
+        if (
+            arriving is not None
+            and arriving.accepted
+            and not arriving.defaults
+            and arriving.due_day < horizon
+        ):
             due.setdefault(arriving.due_day, []).append(arriving)
 
         residual = conservation_residual(
@@ -215,13 +237,33 @@ def run_simulation(config: ScenarioConfig, sim_index: int = 0) -> SimulationResu
 def _run_metrics(
     pool: PoolState, invoices: Sequence[Invoice], config: ScenarioConfig
 ) -> SimulationMetrics:
-    initial = config.initial_collateral
     n_accepted = sum(1 for inv in invoices if inv.accepted)
-    n_paid = sum(1 for inv in invoices if inv.repaid)
+    return _summary(
+        config,
+        n_accepted=n_accepted,
+        n_paid=sum(1 for inv in invoices if inv.repaid),
+        covered=sum_in_order(inv.demanded_collateral for inv in invoices if inv.accepted),
+        loss=pool.loss_total,
+        volume=pool.volume,
+        withdrawn=pool.cumulative_withdrawn,
+        premium=pool.premium_reserve,
+    )
+
+
+def _summary(
+    config: ScenarioConfig,
+    n_accepted: int,
+    n_paid: int,
+    covered: float,
+    loss: float,
+    volume: float,
+    withdrawn: float,
+    premium: float,
+) -> SimulationMetrics:
+    initial = config.initial_collateral
     n_unpaid = n_accepted - n_paid
-    covered = sum(inv.demanded_collateral for inv in invoices if inv.accepted)
-    total = len(invoices)
-    profit = pool.volume + pool.cumulative_withdrawn - initial
+    total = config.n_invoices
+    profit = volume + withdrawn - initial
     return SimulationMetrics(
         n_simulations=1,
         horizon_days=config.horizon_days,
@@ -232,14 +274,14 @@ def _run_metrics(
         pct_paid_of_accepted=100.0 * n_paid / n_accepted if n_accepted else 0.0,
         avg_unpaid=float(n_unpaid),
         pct_unpaid_of_accepted=100.0 * n_unpaid / n_accepted if n_accepted else 0.0,
-        avg_loss=pool.loss_total,
+        avg_loss=loss,
         total_collateral_covered=covered,
         collateral_covered_x_ic=covered / initial,
-        total_premium_withdrawn=pool.cumulative_withdrawn,
-        premium_withdrawn_x_ic=pool.cumulative_withdrawn / initial,
-        remaining_premium=pool.premium_reserve,
-        remaining_premium_x_ic=pool.premium_reserve / initial,
-        final_volume=pool.volume,
+        total_premium_withdrawn=withdrawn,
+        premium_withdrawn_x_ic=withdrawn / initial,
+        remaining_premium=premium,
+        remaining_premium_x_ic=premium / initial,
+        final_volume=volume,
         amm_profit=profit,
         amm_profit_pct=100.0 * profit / initial,
     )
@@ -263,38 +305,328 @@ def _mean_metrics(per_run: Sequence[SimulationMetrics]) -> SimulationMetrics:
     return SimulationMetrics(**values)
 
 
-def _simulate_worker(args: tuple[ScenarioConfig, int]) -> tuple[SimulationMetrics, DailySeries]:
-    config, sim_index = args
-    result = run_simulation(config, sim_index)
-    return result.metrics, result.series
+def run_batch(config: ScenarioConfig) -> BatchResult:
+    """Run the configured number of simulations and average them."""
+    return run_batches([config])[0]
 
 
-def run_batch(
-    config: ScenarioConfig, jobs: int = 1, executor: Executor | None = None
-) -> BatchResult:
-    """Run the configured number of simulations and average them.
+def run_batches(configs: Sequence[ScenarioConfig]) -> list[BatchResult]:
+    """Run many batches; each result equals that batch run alone, bit for bit.
 
-    ``jobs`` bounds process-level parallelism (pass a long-lived
-    ``executor`` instead when running many batches); results are reduced
-    in simulation-index order either way, so the output is identical for
-    any job count.
+    Configs that differ only in ``scenario_id`` or in withdrawal settings
+    share one decoded stream per simulation, and the no-withdrawal batch
+    is simulated once whatever its withdrawal period.  Lanes run in
+    passes of one horizon and simulation count, at most ``_LANE_BUDGET``
+    lanes each; a pass of a single lane runs ``run_simulation``.  Each
+    ``BatchResult`` keeps its own config.
     """
-    tasks = [(config, k) for k in range(config.n_simulations)]
-    if executor is not None:
-        outcomes = list(executor.map(_simulate_worker, tasks, chunksize=8))
-    elif jobs > 1 and config.n_simulations > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool_exec:
-            outcomes = list(pool_exec.map(_simulate_worker, tasks, chunksize=8))
-    else:
-        outcomes = [_simulate_worker(task) for task in tasks]
-    per_run = tuple(metrics for metrics, _ in outcomes)
-    mean_series = DailySeries.mean([series for _, series in outcomes])
-    return BatchResult(
-        config=config,
-        metrics=_mean_metrics(per_run),
-        mean_series=mean_series,
-        per_run=per_run,
+    requests: dict[tuple, list[int]] = {}
+    for index, config in enumerate(configs):
+        requests.setdefault(_lane_key(config), []).append(index)
+    results: list[BatchResult | None] = [None] * len(configs)
+    for group_keys in _plan_passes(list(requests)):
+        for key, (per_run, mean_series) in zip(group_keys, _run_pass(group_keys)):
+            metrics = _mean_metrics(per_run)
+            for index in requests[key]:
+                results[index] = BatchResult(configs[index], metrics, mean_series, per_run)
+    return results
+
+
+# Withdrawal settings of a stream key: neutral values, since streams do
+# not depend on them.
+_NO_WITHDRAWAL = {
+    "scenario_id": "",
+    "withdrawal_enabled": False,
+    "withdrawal_period_days": 30,
+    "withdrawal_fraction": 0.5,
+}
+
+
+def _lane_key(config: ScenarioConfig) -> tuple[ScenarioConfig, tuple[int, float] | None]:
+    """(stream key, withdrawal policy): equal keys give equal batches."""
+    policy = None
+    if config.withdrawal_enabled:
+        policy = (config.withdrawal_period_days, config.withdrawal_fraction)
+    return dataclasses.replace(config, **_NO_WITHDRAWAL), policy
+
+
+def _group_config(key: tuple[ScenarioConfig, tuple[int, float] | None]) -> ScenarioConfig:
+    stream_config, policy = key
+    if policy is None:
+        return stream_config
+    period, fraction = policy
+    return dataclasses.replace(
+        stream_config,
+        withdrawal_enabled=True,
+        withdrawal_period_days=period,
+        withdrawal_fraction=fraction,
     )
+
+
+def _plan_passes(keys: list[tuple]) -> list[list[tuple]]:
+    """Batch groups in passes of one horizon and simulation count.
+
+    Groups that share a stream stay in one pass, so each stream is
+    decoded once; passes fill up to the lane budget.
+    """
+    buckets: dict[tuple[int, int], dict[ScenarioConfig, list[tuple]]] = {}
+    for key in keys:
+        stream_config = key[0]
+        shape = (stream_config.horizon_days, stream_config.n_simulations)
+        buckets.setdefault(shape, {}).setdefault(stream_config, []).append(key)
+    passes = []
+    for (_, n_sims), units in buckets.items():
+        current: list[tuple] = []
+        for unit in units.values():
+            if current and n_sims * (len(current) + len(unit)) > _LANE_BUDGET:
+                passes.append(current)
+                current = []
+            current.extend(unit)
+        passes.append(current)
+    return passes
+
+
+def _run_pass(keys: list[tuple]) -> list[tuple[tuple[SimulationMetrics, ...], DailySeries]]:
+    """Per batch group of one pass: per-run metrics and mean daily series."""
+    if len(keys) == 1 and keys[0][0].n_simulations == 1:
+        result = run_simulation(_group_config(keys[0]), 0)
+        return [((result.metrics,), DailySeries.mean([result.series]))]
+    return _run_lanes(keys)
+
+
+# Rows of the lane ledger.  The order makes every set of accumulators
+# that one event updates a contiguous slice.
+_LP, _LIQ, _OUT, _COLLECTED, _PREM, _WITHDRAWN = range(6)
+
+
+def _two_sum(value: np.ndarray, carry: np.ndarray, delta: np.ndarray) -> None:
+    """``value += delta`` in place, adding the rounding error to ``carry``.
+
+    Branch-free TwoSum; its error term is exact, so ``carry`` receives the
+    same values as the Neumaier carry of ``pool._add``.  Adding a zero
+    delta leaves both unchanged, so lanes without the event pass 0.0.
+    """
+    total = value + delta
+    back = total - value
+    carry += (value - (total - back)) + (delta - back)
+    value[...] = total
+
+
+def _run_lanes(keys: list[tuple]) -> list[tuple[tuple[SimulationMetrics, ...], DailySeries]]:
+    """Step every simulation of the given batch groups through the days at once.
+
+    Lane ``k * n_groups + g`` is simulation ``k`` of group ``g``, so a
+    group's lanes in simulation order are one column of a
+    ``(n_sims, n_groups)`` view.  Each day repeats ``run_simulation``'s
+    float operations in its order, per lane, and checks the conservation
+    identity of every lane.
+    """
+    group_configs = [_group_config(key) for key in keys]
+    stream_configs = list(dict.fromkeys(key[0] for key in keys))
+    n_sims = stream_configs[0].n_simulations
+    horizon = stream_configs[0].horizon_days
+    n_groups = len(keys)
+    n_lanes = n_sims * n_groups
+
+    q_table, amount_table, due_table, repays_table, deposit_table = _invoice_tables(
+        stream_configs, n_sims, horizon
+    )
+    unit_of = {config: unit for unit, config in enumerate(stream_configs)}
+    group_unit = np.array([unit_of[key[0]] for key in keys])
+    lane_column = (group_unit[None, :] * n_sims + np.arange(n_sims)[:, None]).ravel()
+
+    def per_lane(values, dtype=np.float64) -> np.ndarray:
+        return np.tile(np.asarray(values, dtype=dtype), n_sims)
+
+    limit = per_lane([min(c.max_entry_days, c.n_invoices) for c in group_configs], np.int64)
+    last_arrival = int(limit.max())
+    entered_initially = per_lane([c.initial_collateral + c.initial_premium for c in group_configs])
+    period = per_lane([c.withdrawal_period_days if c.withdrawal_enabled else 0 for c in group_configs], np.int64)
+    fraction = per_lane([c.withdrawal_fraction if c.withdrawal_enabled else 0.0 for c in group_configs])
+    periods = sorted({c.withdrawal_period_days for c in group_configs if c.withdrawal_enabled})
+    fractions_on: dict[tuple[int, ...], np.ndarray] = {}
+
+    ledger = np.zeros((6, n_lanes))
+    ledger[_LIQ] = per_lane([c.initial_collateral for c in group_configs])
+    ledger[_PREM] = per_lane([c.initial_premium for c in group_configs])
+    carry = np.zeros((6, n_lanes))
+    liquidity, premium = ledger[_LIQ], ledger[_PREM]
+    n_accepted = np.zeros(n_lanes, dtype=np.int64)
+    n_paid = np.zeros(n_lanes, dtype=np.int64)
+    covered = np.zeros(n_lanes)
+    loss = np.zeros(n_lanes)
+
+    # repayments due, by day modulo ring_days, in acceptance order
+    ring_days = max(c.delay_range_days[1] for c in stream_configs) + 1
+    due_amounts = np.zeros((ring_days, 2, n_lanes))
+    due_count = np.zeros((ring_days, n_lanes), dtype=np.int64)
+
+    # day-start snapshots in DailySeries field order, summed per group in
+    # simulation order (np.add.accumulate is sequential; np.sum is not)
+    snapshot = np.empty((5, n_sims, n_groups))
+    snapshot_lanes = snapshot.reshape(5, n_lanes)
+    running = np.empty_like(snapshot)
+    series_sums = np.empty((horizon, 5, n_groups))
+    pair = np.empty((2, n_lanes))
+    quad = np.empty((4, n_lanes))
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for day in range(horizon):
+            snapshot_lanes[0] = liquidity
+            snapshot_lanes[1] = premium
+            np.add(liquidity, premium, out=snapshot_lanes[2])
+            snapshot_lanes[3] = ledger[_WITHDRAWN]
+            snapshot_lanes[4] = ledger[_COLLECTED]
+            np.add.accumulate(snapshot, axis=1, out=running)
+            series_sums[day] = running[:, -1]
+
+            slot = day % ring_days
+            for k in range(int(due_count[slot].max())):
+                amount = due_amounts[slot, k]
+                pair[0] = amount
+                np.negative(amount, out=pair[1])
+                _two_sum(ledger[_LIQ:_OUT + 1], carry[_LIQ:_OUT + 1], pair)
+            due_amounts[slot] = 0.0
+            due_count[slot] = 0
+
+            if deposit_table is not None:
+                pair[:] = deposit_table[day][lane_column]
+                _two_sum(ledger[_LP:_LIQ + 1], carry[_LP:_LIQ + 1], pair)
+
+            if day < last_arrival:
+                q = q_table[day][lane_column]
+                demanded = amount_table[day][lane_column]
+                volume = liquidity + premium
+                f = demanded / volume
+                denominator = 1.0 - q * (f + 1.0)
+                accepted = (denominator > 0.0) & (demanded <= volume) & (day < limit)
+                if accepted.any():
+                    lent = np.where(accepted, demanded, 0.0)
+                    fee = np.where(accepted, q * q / denominator * demanded, 0.0)
+                    from_liquidity = np.minimum(liquidity, lent)
+                    np.negative(from_liquidity, out=quad[0])
+                    quad[1] = lent
+                    quad[2] = fee
+                    quad[3] = fee
+                    _two_sum(ledger[_LIQ:_PREM + 1], carry[_LIQ:_PREM + 1], quad)
+                    _two_sum(ledger[_PREM:_PREM + 1], carry[_PREM:_PREM + 1],
+                             (from_liquidity - lent)[None])
+                    negative = premium < 0.0
+                    if negative.any():
+                        # the scalar ledger parks this dust in the carry too
+                        carry[_PREM] += np.where(negative, premium, 0.0)
+                        premium[negative] = 0.0
+
+                    n_accepted += accepted
+                    covered += lent
+                    repays = accepted & repays_table[day][lane_column]
+                    n_paid += repays
+                    loss += np.where(accepted ^ repays, demanded, 0.0)
+                    lanes = np.flatnonzero(repays)
+                    if lanes.size:
+                        slots = due_table[day][lane_column[lanes]] % ring_days
+                        position = due_count[slots, lanes]
+                        if position.max() >= due_amounts.shape[1]:
+                            grown = np.zeros((ring_days, 2 * due_amounts.shape[1], n_lanes))
+                            grown[:, : due_amounts.shape[1]] = due_amounts
+                            due_amounts = grown
+                        due_amounts[slots, position, lanes] = demanded[lanes]
+                        due_count[slots, lanes] += 1
+
+            if day > 0:
+                dividing = tuple(p for p in periods if day % p == 0)
+                if dividing:
+                    today = fractions_on.get(dividing)
+                    if today is None:
+                        today = np.where(np.isin(period, dividing), fraction, 0.0)
+                        fractions_on[dividing] = today
+                    withdrawn = today * premium
+                    np.negative(withdrawn, out=pair[0])
+                    pair[1] = withdrawn
+                    _two_sum(ledger[_PREM:_WITHDRAWN + 1], carry[_PREM:_WITHDRAWN + 1], pair)
+
+            exact = ledger + carry
+            held = ((exact[_LIQ] + exact[_PREM]) + exact[_OUT]) + exact[_WITHDRAWN]
+            entered = (entered_initially + exact[_LP]) + exact[_COLLECTED]
+            residual = np.abs(held - entered)
+            worst = residual.max()
+            if not worst <= _CONSERVATION_GUARD:
+                lane = int(np.argmax(residual))
+                raise LedgerError(
+                    f"conservation violated on day {day} in simulation {lane // n_groups} "
+                    f"of {group_configs[lane % n_groups].scenario_id or 'a batch'}: residual {worst}"
+                )
+
+    return _reduce_lanes(
+        group_configs, n_sims, series_sums,
+        n_accepted, n_paid, covered, loss,
+        liquidity + premium, ledger[_WITHDRAWN], premium,
+    )
+
+
+def _invoice_tables(stream_configs: list[ScenarioConfig], n_sims: int, horizon: int):
+    """Decoded streams as tables with one row per day and one column per stream.
+
+    Column ``u * n_sims + k`` is simulation ``k`` of ``stream_configs[u]``.
+    Invoice i arrives on day i, so once accepted it is due on day
+    i + delay; ``repays`` marks the invoices that then come back within
+    the horizon.  The deposit table is None when no stream has deposits.
+    """
+    n_rows = max(config.n_invoices for config in stream_configs)
+    n_columns = n_sims * len(stream_configs)
+    q = np.zeros((n_rows, n_columns))
+    amount = np.zeros((n_rows, n_columns))
+    due = np.zeros((n_rows, n_columns), dtype=np.int64)
+    repays = np.zeros((n_rows, n_columns), dtype=bool)
+    deposits = None
+    for unit, config in enumerate(stream_configs):
+        stream = decode_streams(config, range(n_sims))
+        columns = slice(unit * n_sims, (unit + 1) * n_sims)
+        n = config.n_invoices
+        q[:n, columns] = stream.q.T
+        amount[:n, columns] = stream.amount.T
+        due[:n, columns] = np.arange(n)[:, None] + stream.delay.T
+        repays[:n, columns] = ~stream.defaults.T & (due[:n, columns] < horizon)
+        if stream.deposits is not None:
+            if deposits is None:
+                deposits = np.zeros((horizon, n_columns))
+            deposits[:, columns] = stream.deposits.T
+    return q, amount, due, repays, deposits
+
+
+def _reduce_lanes(
+    group_configs, n_sims, series_sums,
+    n_accepted, n_paid, covered, loss, volume, withdrawn, premium,
+) -> list[tuple[tuple[SimulationMetrics, ...], DailySeries]]:
+    """Per-run metrics and mean series of every group from the final lane state."""
+    n_groups = len(group_configs)
+    columns = zip(
+        n_accepted.tolist(), n_paid.tolist(), covered.tolist(),
+        loss.tolist(), volume.tolist(), withdrawn.tolist(), premium.tolist(),
+    )
+    per_lane = [
+        _summary(
+            group_configs[lane % n_groups],
+            n_accepted=accepted,
+            n_paid=paid,
+            # an empty sum is the integer 0, as in the scalar loop
+            covered=covered_sum if accepted else 0,
+            loss=loss_sum if accepted > paid else 0,
+            volume=final_volume,
+            withdrawn=final_withdrawn,
+            premium=final_premium,
+        )
+        for lane, (accepted, paid, covered_sum, loss_sum,
+                   final_volume, final_withdrawn, final_premium) in enumerate(columns)
+    ]
+    names = [f.name for f in fields(DailySeries)]
+    return [
+        (
+            tuple(per_lane[group::n_groups]),
+            DailySeries(**{name: series_sums[:, i, group] / n_sims for i, name in enumerate(names)}),
+        )
+        for group in range(n_groups)
+    ]
 
 
 @dataclass(frozen=True)
@@ -326,15 +658,9 @@ def profit_difference_pct(without: float, with_: float) -> float | None:
     return 100.0 * (with_ - without) / abs(without)
 
 
-def compare_withdrawal(
-    config: ScenarioConfig, jobs: int = 1, executor: Executor | None = None
-) -> WithdrawalComparison:
+def compare_withdrawal(config: ScenarioConfig) -> WithdrawalComparison:
     """Run the batch twice with identical seeds, withdrawal off then on."""
-    return WithdrawalComparison(
-        no_withdrawal=run_batch(
-            config.replace(withdrawal_enabled=False), jobs=jobs, executor=executor
-        ),
-        withdrawal=run_batch(
-            config.replace(withdrawal_enabled=True), jobs=jobs, executor=executor
-        ),
+    no_withdrawal, withdrawal = run_batches(
+        [config.replace(withdrawal_enabled=False), config.replace(withdrawal_enabled=True)]
     )
+    return WithdrawalComparison(no_withdrawal=no_withdrawal, withdrawal=withdrawal)

@@ -32,9 +32,6 @@ from dataclasses import dataclass, field as dataclasses_field
 from enum import Enum
 from typing import Iterable
 
-# Payment delay marking an invoice that never repays within any horizon.
-NEVER_PAID_DELAY = 100_000
-
 
 class QuoteError(Exception):
     """A premium cannot be priced for this invoice against this pool."""
@@ -81,8 +78,9 @@ class Invoice:
     q: float                    # non-collateralized share of the face value
     demanded_collateral: float  # euros the pool is asked to lend
     arrival_day: int
-    payment_delay_days: int = NEVER_PAID_DELAY
+    payment_delay_days: int = 0
     bogus: bool = False         # injected attack invoice, never repays
+    defaults: bool = False      # never repays: bogus or flagged non-payment
     accepted: bool = False
     acceptance_day: int | None = None
     premium_paid: float = 0.0
@@ -239,8 +237,8 @@ def repay_invoice(pool: PoolState, invoice: Invoice) -> None:
         raise LedgerError(f"invoice {invoice.id} was never accepted")
     if invoice.repaid:
         raise LedgerError(f"invoice {invoice.id} was already repaid")
-    if invoice.bogus:
-        raise LedgerError(f"invoice {invoice.id} is bogus and never repays")
+    if invoice.bogus or invoice.defaults:
+        raise LedgerError(f"invoice {invoice.id} defaults and never repays")
     _add(pool, "liquidity", invoice.demanded_collateral)
     _add(pool, "outstanding_lent", -invoice.demanded_collateral)
     invoice.repaid = True
@@ -264,9 +262,21 @@ def withdraw_premium(pool: PoolState, fraction: float) -> float:
     return withdrawn
 
 
+def sum_in_order(values: Iterable[float]) -> float:
+    """Plain left-to-right sum, starting from the integer 0 like ``sum()``.
+
+    ``sum()`` compensates float rounding from Python 3.12 on, which would
+    make report bytes depend on the interpreter.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def finalize_losses(pool: PoolState, invoices: Iterable[Invoice]) -> float:
     """Book unreturned collateral as losses at the end of a run."""
-    pool.loss_total = sum(
+    pool.loss_total = sum_in_order(
         inv.demanded_collateral for inv in invoices if inv.accepted and not inv.repaid
     )
     return pool.loss_total

@@ -204,9 +204,14 @@ def write_runs_csv(bundle_result: BatchResult, path: str | Path) -> Path:
     return path
 
 
+def config_record(policies: tuple[str, ...], config: ScenarioConfig) -> dict:
+    """Contents of ``config.json``; a sweep resumes a cell only on an equal record."""
+    return {"policies": list(policies), "config": config.to_dict()}
+
+
 def write_config_json(bundle: ReportBundle, path: str | Path) -> Path:
     """Snapshot sufficient to re-run the bundle bit-identically."""
-    record = {"policies": list(bundle.policies), "config": bundle.config.to_dict()}
+    record = config_record(bundle.policies, bundle.config)
     path = Path(path)
     _atomic_write(path, json.dumps(record, indent=2) + "\n")
     return path

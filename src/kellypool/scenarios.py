@@ -18,6 +18,9 @@ and applies one family of deltas per scenario group:
 Generation is driven by an explicit numpy ``Generator``; batches derive
 one independent stream per simulation index (see ``engine``), so every
 run is reproducible from ``(seed, simulation_index)`` alone.
+``generate_stream`` draws one invoice at a time and is the reference;
+``decode_streams`` produces the same streams for many simulations at
+once by decoding the generator's raw 64-bit output.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .pool import NEVER_PAID_DELAY, Invoice
+from .pool import Invoice
 
 
 class ConfigError(ValueError):
@@ -77,8 +80,10 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.n_simulations < 1:
             raise ConfigError("n_simulations must be at least 1")
-        if self.initial_collateral < 0 or self.initial_premium < 0:
-            raise ConfigError("initial reserves must be non-negative")
+        if self.initial_collateral <= 0:
+            raise ConfigError("initial_collateral must be positive")
+        if self.initial_premium < 0:
+            raise ConfigError("initial_premium must be non-negative")
         if self.n_invoices < 0:
             raise ConfigError("n_invoices must be non-negative")
         lo, hi = self.q_range
@@ -214,11 +219,12 @@ def scenario_preset(scenario_id: str, **overrides) -> ScenarioConfig:
 def generate_invoice(day: int, config: ScenarioConfig, rng: np.random.Generator) -> Invoice:
     """Draw one invoice arriving on ``day``.
 
-    Draw order per invoice is fixed: non-collateralized share, demanded
-    amount, bogus flag, non-payment flag, payment delay.  The two flag
-    uniforms are always consumed so the stream layout does not depend on
-    the configured probabilities.  Bogus and flagged-unpaid invoices get
-    the never-paid sentinel delay instead of a drawn one.
+    Draw order per invoice is fixed: non-collateralized share (unless
+    ``hack_q`` fixes it), demanded amount (unless it is a fixed fraction),
+    bogus flag, non-payment flag, payment delay.  The non-payment uniform
+    is drawn only for invoices that are not bogus.  The delay is always
+    drawn, so the layout does not depend on the flags; bogus and
+    flagged-unpaid invoices are marked ``defaults`` and never repay.
     """
     if day < 0:
         raise ValueError("day must be non-negative")
@@ -234,8 +240,6 @@ def generate_invoice(day: int, config: ScenarioConfig, rng: np.random.Generator)
     unpaid = (not bogus) and bool(rng.random() < config.nonpayment_probability)
     d_lo, d_hi = config.delay_range_days
     delay = int(rng.integers(d_lo, d_hi, endpoint=True))
-    if bogus or unpaid:
-        delay = NEVER_PAID_DELAY
     return Invoice(
         id=day,
         q=q,
@@ -243,6 +247,7 @@ def generate_invoice(day: int, config: ScenarioConfig, rng: np.random.Generator)
         arrival_day=day,
         payment_delay_days=delay,
         bogus=bogus,
+        defaults=bogus or unpaid,
     )
 
 
@@ -274,3 +279,162 @@ def lp_contribution_schedule(
 def simulation_rng(seed: int, sim_index: int) -> np.random.Generator:
     """Independent, reproducible stream for one simulation of a batch."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(sim_index,)))
+
+
+# --- Vectorised decoding of many streams at once ----------------------------
+
+_UINT32_MAX = 0xFFFF_FFFF
+
+
+@dataclass(frozen=True)
+class StreamArrays:
+    """Invoice streams and LP deposit schedules of several simulations.
+
+    Row ``r`` belongs to the r-th requested simulation index.  Invoice
+    fields have one column per invoice; ``deposits`` has one column per
+    day of the horizon and is None when the config has no LP deposits.
+    """
+
+    q: np.ndarray
+    amount: np.ndarray
+    defaults: np.ndarray
+    delay: np.ndarray
+    deposits: np.ndarray | None
+
+
+def _uniform(lo: float, hi: float, unit: np.ndarray) -> np.ndarray:
+    """``Generator.uniform`` applied to already drawn unit doubles."""
+    return lo + (hi - lo) * unit
+
+
+def decode_streams(config: ScenarioConfig, sim_indices) -> StreamArrays:
+    """What ``generate_stream`` and ``lp_contribution_schedule`` draw, for many
+    simulations at once and equal bit for bit.
+
+    Each simulation's generator output is read as raw PCG64 words
+    (``random_raw``) and decoded the way numpy's ``Generator`` consumes
+    them: a double is ``(word >> 11) * 2**-53`` and ``uniform(lo, hi)`` is
+    ``lo + (hi - lo) * double``.  Per invoice the draws follow
+    ``generate_invoice``.  Integer delays come from numpy's buffered
+    32-bit draws: the delays of invoices 2i and 2i+1 are the low and high
+    halves of one word, drawn right after invoice 2i's flags, each mapped
+    into range by Lemire's multiply-shift (D. Lemire, "Fast Random Integer
+    Generation in an Interval", 2019).  The LP schedule's draws follow
+    the stream.  A stream in which Lemire's method would reject a draw
+    (and draw again) is generated by ``generate_stream`` instead, as is
+    every stream when the delay span exceeds 32 bits.
+    """
+    sims = list(sim_indices)
+    n_sims, n, horizon = len(sims), config.n_invoices, config.horizon_days
+    d_lo, d_hi = config.delay_range_days
+    span = d_hi - d_lo
+    cap = config.lp_cap_fraction * config.initial_collateral
+    lp_on = config.lp_contribution_probability > 0.0 and cap > 0.0
+    lp_fixed = config.lp_contribution_mode == "fixed"
+    draws_q = config.hack_q is None
+    draws_amount = config.amount_fraction_of_initial is None
+    lead = draws_q + draws_amount  # doubles drawn before the bogus flag
+    draws_delay = span > 0  # numpy draws nothing for an empty range
+    p_hack = config.hack_probability
+
+    if span > _UINT32_MAX:
+        return _generate_streams(config, sims, n_sims)
+
+    n_words = (
+        n * (lead + 2)
+        + draws_delay * ((n + 1) // 2)
+        + (horizon * (1 if lp_fixed else 2) if lp_on else 0)
+        + 1  # a non-payment flag index past a trailing bogus invoice stays in bounds
+    )
+    raw = np.empty((n_sims, n_words), dtype=np.uint64)
+    for row, sim_index in enumerate(sims):
+        seed_seq = np.random.SeedSequence(config.seed, spawn_key=(sim_index,))
+        raw[row] = np.random.PCG64(seed_seq).random_raw(n_words)
+    rows = np.arange(n_sims)[:, None]
+
+    def unit(index: np.ndarray) -> np.ndarray:
+        """The doubles ``Generator.random`` makes of the words at ``index`` of each row."""
+        return (raw[rows[:, 0] if index.ndim == 1 else rows, index] >> 11) * 2.0**-53
+
+    if 0.0 < p_hack < 1.0:
+        # the non-payment draw is skipped for bogus invoices, so each
+        # invoice's position depends on the flags of the ones before it
+        starts = np.empty((n_sims, n), dtype=np.int64)
+        bogus = np.empty((n_sims, n), dtype=bool)
+        offset = np.zeros(n_sims, dtype=np.int64)
+        for i in range(n):
+            starts[:, i] = offset
+            flag = unit(offset + lead) < p_hack
+            bogus[:, i] = flag
+            offset += lead + 2 + (draws_delay and i % 2 == 0) - flag
+        end = offset
+    else:
+        # random() < 0 never holds and random() < 1 always does
+        always_bogus = p_hack >= 1.0
+        per_invoice = lead + 2 - always_bogus
+        index = np.arange(n)
+        starts = np.broadcast_to(index * per_invoice + draws_delay * ((index + 1) // 2), (n_sims, n))
+        bogus = np.full((n_sims, n), always_bogus)
+        end = np.full(n_sims, n * per_invoice + draws_delay * ((n + 1) // 2))
+
+    if draws_q:
+        q = _uniform(*config.q_range, unit(starts))
+    else:
+        q = np.full((n_sims, n), config.hack_q)
+    if draws_amount:
+        amount = _uniform(*config.amount_range, unit(starts + draws_q))
+    else:
+        amount = np.full((n_sims, n), config.amount_fraction_of_initial * config.initial_collateral)
+    defaults = bogus | (unit(starts + lead + 1) < config.nonpayment_probability)
+
+    rejected = np.zeros(n_sims, dtype=bool)
+    if draws_delay:
+        pair_words = raw[rows, starts[:, 0::2] + lead + 2 - bogus[:, 0::2]]
+        halves = np.stack([pair_words & _UINT32_MAX, pair_words >> 32], axis=2)
+        scaled = halves.reshape(n_sims, -1)[:, :n] * np.uint64(span + 1)
+        threshold = (2**32 - (span + 1)) % (span + 1)
+        rejected = ((scaled & _UINT32_MAX) < threshold).any(axis=1)
+        delay = d_lo + (scaled >> 32).astype(np.int64)
+    else:
+        delay = np.full((n_sims, n), d_lo, dtype=np.int64)
+
+    deposits = None
+    if lp_on:
+        days = end[:, None] + np.arange(horizon)
+        occurs = unit(days) < config.lp_contribution_probability
+        amounts = cap if lp_fixed else _uniform(0.0, cap, unit(days + horizon))
+        deposits = np.where(occurs, amounts, 0.0)
+
+    streams = StreamArrays(q=q, amount=amount, defaults=defaults, delay=delay, deposits=deposits)
+    for row in np.flatnonzero(rejected):
+        _fill_from_generator(streams, row, config, sims[row])
+    return streams
+
+
+def _generate_streams(config: ScenarioConfig, sims: list[int], n_sims: int) -> StreamArrays:
+    n = config.n_invoices
+    lp_on = config.lp_contribution_probability > 0.0 and config.lp_cap_fraction > 0.0
+    streams = StreamArrays(
+        q=np.empty((n_sims, n)),
+        amount=np.empty((n_sims, n)),
+        defaults=np.empty((n_sims, n), dtype=bool),
+        delay=np.empty((n_sims, n), dtype=np.int64),
+        deposits=np.empty((n_sims, config.horizon_days)) if lp_on else None,
+    )
+    for row, sim_index in enumerate(sims):
+        _fill_from_generator(streams, row, config, sim_index)
+    return streams
+
+
+def _fill_from_generator(
+    streams: StreamArrays, row: int, config: ScenarioConfig, sim_index: int
+) -> None:
+    """Overwrite one row with the reference generator's draws."""
+    rng = simulation_rng(config.seed, sim_index)
+    invoices = generate_stream(config, rng)
+    streams.q[row] = [inv.q for inv in invoices]
+    streams.amount[row] = [inv.demanded_collateral for inv in invoices]
+    streams.defaults[row] = [inv.defaults for inv in invoices]
+    streams.delay[row] = [inv.payment_delay_days for inv in invoices]
+    if streams.deposits is not None:
+        streams.deposits[row] = lp_contribution_schedule(config, config.horizon_days, rng)

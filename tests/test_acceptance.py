@@ -60,7 +60,7 @@ def sweep(tmp_path_factory):
     """Full sweep at 100 simulations per batch; returns (path, seconds)."""
     out = tmp_path_factory.mktemp("acceptance_sweep")
     started = time.perf_counter()
-    code = cli_main(["sweep", "--out", str(out), "--jobs", "2"])
+    code = cli_main(["sweep", "--out", str(out)])
     elapsed = time.perf_counter() - started
     assert code == 0
     return out, elapsed

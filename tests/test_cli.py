@@ -54,7 +54,7 @@ class TestSimulate:
     def test_preset_run_writes_bundle(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys, "simulate", "--scenario", "5.1", "--sims", "3", "--seed", "42",
-            "--withdraw-period", "30", "--out", str(tmp_path), "--jobs", "1",
+            "--withdraw-period", "30", "--out", str(tmp_path),
         )
         assert code == 0
         cell = tmp_path / "5.1_p30"
@@ -92,7 +92,7 @@ class TestSimulate:
         )
         code, _, _ = run_cli(
             capsys, "simulate", "--config", str(config_path), "--sims", "4",
-            "--out", str(tmp_path), "--jobs", "1",
+            "--out", str(tmp_path),
         )
         assert code == 0
         snapshot = json.loads((tmp_path / "mine_p30" / "config.json").read_text())
@@ -109,7 +109,7 @@ class TestSimulate:
     def test_single_policy_run(self, capsys, tmp_path):
         code, _, _ = run_cli(
             capsys, "simulate", "--scenario", "5.3", "--sims", "2", "--policy", "without",
-            "--out", str(tmp_path), "--jobs", "1",
+            "--out", str(tmp_path),
         )
         assert code == 0
         cell = tmp_path / "5.3_p30"
@@ -121,7 +121,7 @@ class TestSimulate:
     def test_json_only_format(self, capsys, tmp_path):
         code, _, _ = run_cli(
             capsys, "simulate", "--scenario", "5.3", "--sims", "2", "--format", "json",
-            "--out", str(tmp_path), "--jobs", "1",
+            "--out", str(tmp_path),
         )
         assert code == 0
         assert not (tmp_path / "5.3_p30" / "metrics.csv").exists()
@@ -131,7 +131,7 @@ class TestSimulate:
         blocker.write_text("a file, not a directory")
         code, _, err = run_cli(
             capsys, "simulate", "--scenario", "5.3", "--sims", "1",
-            "--out", str(blocker / "sub"), "--jobs", "1",
+            "--out", str(blocker / "sub"),
         )
         assert code == 3
         assert "I/O error" in err
@@ -145,7 +145,7 @@ class TestSimulate:
 @pytest.fixture(scope="module")
 def sweep_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("sweep")
-    code = main(["sweep", "--sims", "2", "--out", str(out), "--jobs", "1", "--seed", "3"])
+    code = main(["sweep", "--sims", "2", "--out", str(out), "--seed", "3"])
     assert code == 0
     return out
 
@@ -163,7 +163,7 @@ class TestSweep:
         assert len(lines) == 2 + 75
 
     def test_rerun_skips_completed_cells(self, sweep_dir, capsys):
-        code = main(["sweep", "--sims", "2", "--out", str(sweep_dir), "--jobs", "1", "--seed", "3"])
+        code = main(["sweep", "--sims", "2", "--out", str(sweep_dir), "--seed", "3"])
         out = capsys.readouterr().out
         assert code == 0
         assert out.count("skipping") == 75
@@ -174,11 +174,36 @@ class TestSweep:
 
         target = sweep_dir / "4.1_p90"
         shutil.rmtree(target)
-        code = main(["sweep", "--sims", "2", "--out", str(sweep_dir), "--jobs", "1", "--seed", "3"])
+        code = main(["sweep", "--sims", "2", "--out", str(sweep_dir), "--seed", "3"])
         out = capsys.readouterr().out
         assert code == 0
         assert out.count("skipping") == 74
         assert (target / "metrics.json").exists()
+
+    def test_changed_config_is_recomputed(self, capsys, tmp_path):
+        assert main(["sweep", "--sims", "2", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["sweep", "--sims", "3", "--out", str(tmp_path)]) == 0
+        assert "skipping" not in capsys.readouterr().out
+        record = json.loads((tmp_path / "2.3_p30" / "metrics.json").read_text())
+        assert record["config"]["n_simulations"] == 3
+        assert record["metrics"]["withdrawal"]["n_simulations"] == 3
+
+    def test_changed_policy_is_recomputed(self, capsys, tmp_path):
+        assert main(["sweep", "--sims", "1", "--policy", "with", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["sweep", "--sims", "1", "--out", str(tmp_path)]) == 0
+        assert "skipping" not in capsys.readouterr().out
+        assert (tmp_path / "2.3_p30" / "timeseries_no_withdrawal.csv").exists()
+
+    def test_csv_format_resumes_and_writes_diff_report(self, capsys, tmp_path):
+        assert main(["sweep", "--sims", "1", "--format", "csv", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "diff_report.csv").read_text().splitlines()
+        assert len(lines) == 2 + 75
+        assert (tmp_path / "2.3_p30" / "metrics.csv").exists()
+        capsys.readouterr()
+        assert main(["sweep", "--sims", "1", "--format", "csv", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.count("skipping") == 75
 
     def test_period_is_not_a_sweep_flag(self, capsys, tmp_path):
         # the sweep iterates all withdrawal periods itself

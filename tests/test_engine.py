@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kellypool import (
+    PRESET_IDS,
     Invoice,
     PoolState,
     PremiumQuote,
@@ -14,11 +15,12 @@ from kellypool import (
     compute_b,
     conservation_residual,
     run_batch,
+    run_batches,
     run_day,
     run_simulation,
     scenario_preset,
 )
-from kellypool.engine import _mean_metrics
+from kellypool.engine import DailySeries, SimulationMetrics, _mean_metrics, _run_metrics
 from kellypool.scenarios import generate_stream, lp_contribution_schedule, simulation_rng
 
 
@@ -165,7 +167,8 @@ class TestRunSimulation:
             for day in range(config.horizon_days):
                 arriving = invoices[day] if day < config.max_entry_days else None
                 run_day(pool, day, due.pop(day, ()), arriving, config, float(deposits[day]))
-                if arriving is not None and arriving.accepted and arriving.due_day < config.horizon_days:
+                if (arriving is not None and arriving.accepted and not arriving.defaults
+                        and arriving.due_day < config.horizon_days):
                     due.setdefault(arriving.due_day, []).append(arriving)
                 assert abs(conservation_residual(pool, config.initial_collateral)) <= 1e-9
                 assert pool.liquidity >= 0.0 and pool.premium_reserve >= 0.0
@@ -205,12 +208,22 @@ class TestRunBatch:
         assert first.metrics == second.metrics
         assert np.array_equal(first.mean_series.premium_reserve, second.mean_series.premium_reserve)
 
-    def test_parallel_equals_serial(self):
-        config = scenario_preset("baseline", n_simulations=6, seed=8)
-        serial = run_batch(config, jobs=1)
-        parallel = run_batch(config, jobs=2)
-        assert serial.metrics == parallel.metrics
-        assert np.array_equal(serial.mean_series.volume, parallel.mean_series.volume)
+    def test_grouping_invariance(self):
+        # a batch's result must not depend on the batches run beside it:
+        # mixed horizons, shared streams, and a one-lane pass
+        a = scenario_preset("3.1", n_simulations=3, seed=8, withdrawal_enabled=True,
+                            withdrawal_period_days=1)
+        b = scenario_preset("2.3", n_simulations=3, seed=8)
+        c = b.replace(withdrawal_enabled=True, withdrawal_period_days=90, scenario_id="other")
+        d = scenario_preset("1.3", n_simulations=1, seed=2, withdrawal_enabled=True)
+        # same horizon and pass as b, but arrivals stop ten days earlier
+        e = scenario_preset("4.2", n_simulations=3, seed=8, max_entry_days=490,
+                            additional_days=40)
+        configs = [a, b, c, d, e, b]
+        together = run_batches(configs)
+        for config, result in zip(configs, together):
+            assert result.config == config
+            assert_same_batch(result, run_batch(config))
 
     def test_mean_series_day_zero_is_initial_state(self):
         batch = run_batch(scenario_preset("baseline", n_simulations=3, seed=1))
@@ -244,3 +257,62 @@ class TestCompareWithdrawal:
         assert comparison.profit_difference_pct == pytest.approx(
             100.0 * (with_ - without) / abs(without), rel=1e-12
         )
+
+
+def metric_values(metrics: SimulationMetrics) -> list[str]:
+    """Field values with their types: an empty sum is the integer 0 in reports."""
+    return [repr(getattr(metrics, f.name)) for f in dataclasses.fields(metrics)]
+
+
+def assert_same_batch(result, reference) -> None:
+    assert metric_values(result.metrics) == metric_values(reference.metrics)
+    assert [metric_values(m) for m in result.per_run] == [
+        metric_values(m) for m in reference.per_run
+    ]
+    for f in dataclasses.fields(DailySeries):
+        assert getattr(result.mean_series, f.name).tobytes() == (
+            getattr(reference.mean_series, f.name).tobytes()
+        ), f.name
+
+
+def scalar_batch(config):
+    """The batch as the scalar loop computes it, one simulation at a time."""
+    runs = [run_simulation(config, k) for k in range(config.n_simulations)]
+    per_run = tuple(run.metrics for run in runs)
+    return dataclasses.make_dataclass("Reference", ["metrics", "per_run", "mean_series"])(
+        _mean_metrics(per_run), per_run, DailySeries.mean([run.series for run in runs])
+    )
+
+
+@pytest.mark.parametrize("scenario_id", PRESET_IDS)
+def test_lanes_equal_scalar_loop(scenario_id):
+    """Every policy of every preset, lane by lane against ``run_simulation``."""
+    for seed in (0, 5, 9173):
+        base = scenario_preset(scenario_id, seed=seed, n_simulations=2)
+        configs = [base] + [
+            base.replace(withdrawal_enabled=True, withdrawal_period_days=period)
+            for period in (1, 30, 90)
+        ]
+        for config, result in zip(configs, run_batches(configs)):
+            assert_same_batch(result, scalar_batch(config))
+
+
+def test_flagged_invoices_never_repay_on_long_horizons():
+    # with over ~99,850 invoices the horizon passes the old never-paid
+    # sentinel delay of 100,000 days, which then came due like any other
+    config = ScenarioConfig(n_invoices=100_010, nonpayment_probability=0.5, seed=1)
+    result = run_simulation(config, 0)
+    flagged = [inv for inv in result.invoices if inv.defaults and inv.accepted]
+    assert flagged
+    assert not any(inv.repaid for inv in flagged)
+    assert result.metrics.avg_unpaid == len(flagged)
+
+
+def test_covered_collateral_is_summed_left_to_right():
+    invoices = [
+        Invoice(id=i, q=0.1, demanded_collateral=amount, arrival_day=i, accepted=True,
+                repaid=True)
+        for i, amount in enumerate([1e16, 1.0, -1e16])
+    ]
+    metrics = _run_metrics(PoolState(liquidity=1.0), invoices, ScenarioConfig(n_invoices=3))
+    assert metrics.total_collateral_covered == 0.0

@@ -288,6 +288,14 @@ class TestFinalizeLosses:
         ]
         assert finalize_losses(PoolState(), invoices) == 600.0
 
+    def test_sums_left_to_right(self):
+        # compensated summation (sum() from Python 3.12 on) would give 1.0
+        invoices = [
+            make_invoice(id=i, amount=amount, accepted=True, acceptance_day=0)
+            for i, amount in enumerate([1e16, 1.0, -1e16])
+        ]
+        assert finalize_losses(PoolState(), invoices) == 0.0
+
 
 class TestConservation:
     def test_scripted_sequence_balances(self):

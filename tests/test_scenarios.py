@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from kellypool import (
-    NEVER_PAID_DELAY,
     PRESET_IDS,
     SWEEP_IDS,
     ConfigError,
@@ -17,6 +16,8 @@ from kellypool import (
     scenario_preset,
     simulation_rng,
 )
+from kellypool import scenarios
+from kellypool.scenarios import decode_streams
 
 
 class TestScenarioConfig:
@@ -64,6 +65,8 @@ class TestScenarioConfig:
             {"hack_q": 1.2},
             {"lp_contribution_mode": "sometimes"},
             {"n_simulations": 0},
+            {"initial_collateral": 0.0},
+            {"initial_collateral": 0.0, "amount_range": None, "amount_fraction_of_initial": 0.1},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -170,15 +173,28 @@ class TestGenerateInvoice:
         config = ScenarioConfig(hack_probability=1.0, hack_q=0.49)
         rng = simulation_rng(1, 0)
         invoice = generate_invoice(0, config, rng)
-        assert invoice.bogus
+        assert invoice.bogus and invoice.defaults
         assert invoice.q == 0.49
-        assert invoice.payment_delay_days == NEVER_PAID_DELAY
+        assert 30 <= invoice.payment_delay_days <= 120
 
-    def test_nonpayment_gets_sentinel_without_bogus_flag(self):
+    def test_nonpayment_defaults_without_bogus_flag(self):
         config = ScenarioConfig(nonpayment_probability=1.0)
         invoice = generate_invoice(0, config, simulation_rng(1, 0))
         assert not invoice.bogus
-        assert invoice.payment_delay_days == NEVER_PAID_DELAY
+        assert invoice.defaults
+        assert 30 <= invoice.payment_delay_days <= 120
+
+    def test_flags_leave_the_draws_in_place(self):
+        # the delay is drawn whatever the flags, so flipping the
+        # non-payment probability between 0 and 1 moves no other draw
+        paid = generate_stream(ScenarioConfig(n_invoices=30), simulation_rng(4, 0))
+        unpaid = generate_stream(
+            ScenarioConfig(n_invoices=30, nonpayment_probability=1.0), simulation_rng(4, 0)
+        )
+        assert [(i.q, i.demanded_collateral, i.payment_delay_days) for i in paid] == [
+            (i.q, i.demanded_collateral, i.payment_delay_days) for i in unpaid
+        ]
+        assert not any(i.defaults for i in paid) and all(i.defaults for i in unpaid)
 
     def test_fixed_amount_mode(self):
         config = scenario_preset("4.2")
@@ -264,3 +280,87 @@ class TestLpSchedule:
         first = lp_contribution_schedule(config, 650, simulation_rng(9, 2))
         second = lp_contribution_schedule(config, 650, simulation_rng(9, 2))
         assert np.array_equal(first, second)
+
+
+def reference_streams(config, sim_indices, with_deposits=True):
+    """``generate_stream`` plus the LP schedule, drawn from one generator per simulation.
+
+    ``with_deposits=False`` skips the schedule, whose zero array would be
+    as long as the horizon.
+    """
+    out = []
+    for sim_index in sim_indices:
+        rng = simulation_rng(config.seed, sim_index)
+        invoices = generate_stream(config, rng)
+        deposits = None
+        if with_deposits:
+            deposits = lp_contribution_schedule(config, config.horizon_days, rng)
+        out.append((invoices, deposits))
+    return out
+
+
+def assert_decoded_equal(decoded, reference):
+    for row, (invoices, deposits) in enumerate(reference):
+        assert decoded.q[row].tolist() == [inv.q for inv in invoices]
+        assert decoded.amount[row].tolist() == [inv.demanded_collateral for inv in invoices]
+        assert decoded.defaults[row].tolist() == [inv.defaults for inv in invoices]
+        assert decoded.delay[row].tolist() == [inv.payment_delay_days for inv in invoices]
+        if deposits is None:
+            continue
+        if decoded.deposits is None:
+            assert not deposits.any()
+        else:
+            assert decoded.deposits[row].tobytes() == deposits.tobytes()
+
+
+class TestDecodeStreams:
+    @pytest.mark.parametrize("scenario_id", PRESET_IDS)
+    def test_equals_generator_bit_for_bit(self, scenario_id):
+        sims = [0, 1, 6, 41]
+        for seed in (0, 5, 9173):
+            config = scenario_preset(scenario_id, seed=seed, n_invoices=120)
+            assert_decoded_equal(decode_streams(config, sims), reference_streams(config, sims))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"n_invoices": 0},
+            {"n_invoices": 7, "delay_range_days": (30, 30)},  # numpy draws no delay
+            {"n_invoices": 9, "hack_probability": 0.5, "hack_q": 0.3, "nonpayment_probability": 0.5},
+            {"n_invoices": 11, "lp_contribution_probability": 0.3, "lp_cap_fraction": 0.2,
+             "lp_contribution_mode": "fixed"},
+            {"n_invoices": 5, "delay_range_days": (1, 2**32)},  # full 32-bit range
+        ],
+    )
+    def test_layout_corners(self, overrides):
+        config = ScenarioConfig(seed=3, **overrides)
+        sims = [0, 2]
+        reference = reference_streams(config, sims, with_deposits=config.horizon_days < 10_000)
+        assert_decoded_equal(decode_streams(config, sims), reference)
+
+    def test_wide_delay_range_falls_back_to_the_generator(self, monkeypatch):
+        # half of all 32-bit draws are rejected by Lemire's method for this
+        # span; the horizon of about 2**31 days allows generation only
+        config = ScenarioConfig(n_invoices=40, delay_range_days=(1, 2**31 + 1), seed=11)
+        calls = []
+        original = scenarios.generate_stream
+        monkeypatch.setattr(
+            scenarios, "generate_stream",
+            lambda cfg, rng: calls.append(1) or original(cfg, rng),
+        )
+        sims = list(range(20))
+        decoded = decode_streams(config, sims)
+        assert len(calls) == 20
+        monkeypatch.undo()
+        for row, sim_index in enumerate(sims):
+            invoices = generate_stream(config, simulation_rng(config.seed, sim_index))
+            assert decoded.delay[row].tolist() == [inv.payment_delay_days for inv in invoices]
+            assert decoded.q[row].tolist() == [inv.q for inv in invoices]
+
+    def test_span_beyond_32_bits_uses_the_generator(self):
+        config = ScenarioConfig(n_invoices=6, delay_range_days=(1, 2**33), seed=2)
+        sims = [0, 3]
+        reference = [
+            (generate_stream(config, simulation_rng(config.seed, k)), None) for k in sims
+        ]
+        assert_decoded_equal(decode_streams(config, sims), reference)
