@@ -504,11 +504,13 @@ def _run_lanes(keys: list[tuple]) -> list[tuple[tuple[SimulationMetrics, ...], D
                     lent = np.where(accepted, demanded, 0.0)
                     fee = np.where(accepted, q * q / denominator * demanded, 0.0)
                     from_liquidity = np.minimum(liquidity, lent)
+                    # accept_invoice's updates; premium takes the fee before the payout
                     np.negative(from_liquidity, out=quad[0])
                     quad[1] = lent
                     quad[2] = fee
                     quad[3] = fee
                     _two_sum(ledger[_LIQ:_PREM + 1], carry[_LIQ:_PREM + 1], quad)
+                    # -(lent - from_liquidity), bit for bit: IEEE subtraction is sign-symmetric
                     _two_sum(ledger[_PREM:_PREM + 1], carry[_PREM:_PREM + 1],
                              (from_liquidity - lent)[None])
                     negative = premium < 0.0
@@ -521,6 +523,7 @@ def _run_lanes(keys: list[tuple]) -> list[tuple[tuple[SimulationMetrics, ...], D
                     covered += lent
                     repays = accepted & repays_table[day][lane_column]
                     n_paid += repays
+                    # finalize_losses sums the never-returned invoices in invoice order
                     loss += np.where(accepted ^ repays, demanded, 0.0)
                     lanes = np.flatnonzero(repays)
                     if lanes.size:
@@ -554,7 +557,7 @@ def _run_lanes(keys: list[tuple]) -> list[tuple[tuple[SimulationMetrics, ...], D
                 lane = int(np.argmax(residual))
                 raise LedgerError(
                     f"conservation violated on day {day} in simulation {lane // n_groups} "
-                    f"of {group_configs[lane % n_groups].scenario_id or 'a batch'}: residual {worst}"
+                    f"of batch {keys[lane % n_groups]}: residual {worst}"
                 )
 
     return _reduce_lanes(

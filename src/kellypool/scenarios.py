@@ -338,7 +338,7 @@ def decode_streams(config: ScenarioConfig, sim_indices) -> StreamArrays:
     p_hack = config.hack_probability
 
     if span > _UINT32_MAX:
-        return _generate_streams(config, sims, n_sims)
+        return _generate_streams(config, sims, lp_on)
 
     n_words = (
         n * (lead + 2)
@@ -411,9 +411,8 @@ def decode_streams(config: ScenarioConfig, sim_indices) -> StreamArrays:
     return streams
 
 
-def _generate_streams(config: ScenarioConfig, sims: list[int], n_sims: int) -> StreamArrays:
-    n = config.n_invoices
-    lp_on = config.lp_contribution_probability > 0.0 and config.lp_cap_fraction > 0.0
+def _generate_streams(config: ScenarioConfig, sims: list[int], lp_on: bool) -> StreamArrays:
+    n_sims, n = len(sims), config.n_invoices
     streams = StreamArrays(
         q=np.empty((n_sims, n)),
         amount=np.empty((n_sims, n)),

@@ -316,3 +316,18 @@ def test_covered_collateral_is_summed_left_to_right():
     ]
     metrics = _run_metrics(PoolState(liquidity=1.0), invoices, ScenarioConfig(n_invoices=3))
     assert metrics.total_collateral_covered == 0.0
+
+
+def test_lane_guard_checks_every_lane(monkeypatch):
+    from kellypool import LedgerError, engine
+
+    original = engine._two_sum
+
+    def drifting(value, carry, delta):
+        original(value, carry, delta)
+        value[..., -1] += 1e-3  # the last lane's ledger loses balance
+
+    monkeypatch.setattr(engine, "_two_sum", drifting)
+    config = scenario_preset("2.3", n_simulations=3, n_invoices=20)
+    with pytest.raises(LedgerError, match="simulation 2 of batch"):
+        run_batch(config)

@@ -318,7 +318,7 @@ class TestDecodeStreams:
     def test_equals_generator_bit_for_bit(self, scenario_id):
         sims = [0, 1, 6, 41]
         for seed in (0, 5, 9173):
-            config = scenario_preset(scenario_id, seed=seed, n_invoices=120)
+            config = scenario_preset(scenario_id, seed=seed)
             assert_decoded_equal(decode_streams(config, sims), reference_streams(config, sims))
 
     @pytest.mark.parametrize(
