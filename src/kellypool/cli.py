@@ -80,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--format", choices=("json", "csv", "both"), default="both",
                          help="metrics file format (default both); metrics.json, "
                               "which resume and the diff report read, is always written")
-        cmd.add_argument("--verbose", action="store_true", help="print per-cell timing")
+        cmd.add_argument("--verbose", action="store_true",
+                         help="print simulation and per-cell export timing")
         cmd.set_defaults(func=cmd_simulate if name == "simulate" else cmd_sweep)
     return parser
 
