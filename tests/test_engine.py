@@ -20,7 +20,13 @@ from kellypool import (
     run_simulation,
     scenario_preset,
 )
-from kellypool.engine import DailySeries, SimulationMetrics, _mean_metrics, _run_metrics
+from kellypool.engine import (
+    BatchResult,
+    DailySeries,
+    SimulationMetrics,
+    _mean_metrics,
+    _run_metrics,
+)
 from kellypool.scenarios import generate_stream, lp_contribution_schedule, simulation_rng
 
 
@@ -279,8 +285,8 @@ def scalar_batch(config):
     """The batch as the scalar loop computes it, one simulation at a time."""
     runs = [run_simulation(config, k) for k in range(config.n_simulations)]
     per_run = tuple(run.metrics for run in runs)
-    return dataclasses.make_dataclass("Reference", ["metrics", "per_run", "mean_series"])(
-        _mean_metrics(per_run), per_run, DailySeries.mean([run.series for run in runs])
+    return BatchResult(
+        config, _mean_metrics(per_run), DailySeries.mean([run.series for run in runs]), per_run
     )
 
 
