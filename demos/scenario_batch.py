@@ -26,9 +26,8 @@ def main():
     print("\nmean trajectory every 100 days (withdrawal policy):")
     print(f"  {'day':>4} {'liquidity':>12} {'premium':>10} {'withdrawn':>11}")
     for day in range(0, len(series), 100):
-        point = series.point(day)
-        print(f"  {point.day:>4} {point.liquidity:>12,.2f} "
-              f"{point.premium_reserve:>10,.2f} {point.cumulative_withdrawn:>11,.2f}")
+        print(f"  {day:>4} {series.liquidity[day]:>12,.2f} "
+              f"{series.premium_reserve[day]:>10,.2f} {series.cumulative_withdrawn[day]:>11,.2f}")
 
     diff = comparison.profit_difference_pct
     print(f"\nprofit difference, withdrawal vs none: {diff:+.2f}%")

@@ -12,7 +12,6 @@ from .engine import (
     DailySeries,
     SimulationMetrics,
     SimulationResult,
-    TimeSeriesPoint,
     WithdrawalComparison,
     compare_withdrawal,
     profit_difference_pct,
@@ -37,7 +36,6 @@ from .pool import (
     conservation_residual,
     finalize_losses,
     lp_deposit,
-    pool_volume,
     quote_premium,
     repay_invoice,
     withdraw_premium,
@@ -49,7 +47,6 @@ from .reports import (
     metrics_record,
     round_fraction,
     round_money,
-    write_diff_report,
     write_metrics_csv,
     write_metrics_json,
     write_runs_csv,
@@ -69,58 +66,3 @@ from .scenarios import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BatchResult",
-    "ConfigError",
-    "DailySeries",
-    "Invoice",
-    "LedgerError",
-    "NonPositiveDenominatorError",
-    "PRESET_IDS",
-    "PoolState",
-    "PremiumQuote",
-    "QuoteError",
-    "Rejection",
-    "RejectionReason",
-    "ReportBundle",
-    "SWEEP_IDS",
-    "ScenarioConfig",
-    "SimulationMetrics",
-    "SimulationResult",
-    "TimeSeriesPoint",
-    "WITHDRAWAL_PERIODS",
-    "WithdrawalComparison",
-    "ZeroVolumeError",
-    "accept_invoice",
-    "compare_withdrawal",
-    "compute_b",
-    "compute_f",
-    "conservation_residual",
-    "export_bundle",
-    "finalize_losses",
-    "format_summary",
-    "generate_invoice",
-    "generate_stream",
-    "lp_contribution_schedule",
-    "lp_deposit",
-    "metrics_record",
-    "pool_volume",
-    "profit_difference_pct",
-    "quote_premium",
-    "repay_invoice",
-    "round_fraction",
-    "round_money",
-    "run_batch",
-    "run_batches",
-    "run_day",
-    "run_simulation",
-    "scenario_preset",
-    "simulation_rng",
-    "withdraw_premium",
-    "write_diff_report",
-    "write_metrics_csv",
-    "write_metrics_json",
-    "write_runs_csv",
-    "write_timeseries_csv",
-]

@@ -17,8 +17,9 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Iterator
 
-from .engine import BatchResult, run_batches
+from .engine import run_batches
 from .pool import NonPositiveDenominatorError, PoolState, ZeroVolumeError, quote_premium
 from .reports import (
     ReportBundle,
@@ -137,11 +138,6 @@ def _apply_overrides(config: ScenarioConfig, args: argparse.Namespace) -> Scenar
     return config.replace(**overrides) if overrides else config
 
 
-def _formats(args: argparse.Namespace) -> tuple[str, ...]:
-    # metrics.json is the machine record that resume and the diff report read
-    return ("json",) if args.format == "json" else ("json", "csv")
-
-
 _POLICY_NAMES = {
     "both": ("no_withdrawal", "withdrawal"),
     "without": ("no_withdrawal",),
@@ -149,88 +145,93 @@ _POLICY_NAMES = {
 }
 
 
-def _policy_configs(config: ScenarioConfig, policy: str) -> list[ScenarioConfig]:
-    """One batch config per policy name of ``policy``, in bundle order."""
-    return [
-        config.replace(withdrawal_enabled=name == "withdrawal") for name in _POLICY_NAMES[policy]
-    ]
+def _cells(
+    out_dir: Path, configs: list[ScenarioConfig], policy: str
+) -> dict[Path, dict[str, ScenarioConfig]]:
+    """Each cell's directory with its batch config per policy name, in bundle order."""
+    return {
+        out_dir / f"{config.scenario_id}_p{config.withdrawal_period_days}": {
+            name: config.replace(withdrawal_enabled=name == "withdrawal")
+            for name in _POLICY_NAMES[policy]
+        }
+        for config in configs
+    }
 
 
-def _bundle(config: ScenarioConfig, policy: str, batches: list[BatchResult]) -> ReportBundle:
-    results = dict(zip(_POLICY_NAMES[policy], batches))
-    return ReportBundle(scenario_id=config.scenario_id, config=batches[-1].config, **results)
+def _recorded_config(batch_configs: dict[str, ScenarioConfig]) -> ScenarioConfig:
+    """The config a cell's bundle records and resume compares against: its last batch's."""
+    return list(batch_configs.values())[-1]
 
 
-def _run_cell(config: ScenarioConfig, policy: str) -> ReportBundle:
-    return _bundle(config, policy, run_batches(_policy_configs(config, policy)))
+def _export_cells(
+    cells: dict[Path, dict[str, ScenarioConfig]], args: argparse.Namespace
+) -> Iterator[tuple[Path, ReportBundle, float]]:
+    """Simulate every cell in one ``run_batches`` and write each cell's report bundle.
 
-
-def _cell_name(config: ScenarioConfig) -> str:
-    return f"{config.scenario_id}_p{config.withdrawal_period_days}"
+    Yields each cell's directory, bundle and export seconds as it is written.
+    """
+    started = time.perf_counter()
+    batches = iter(run_batches([batch for cell in cells.values() for batch in cell.values()]))
+    if args.verbose and cells:
+        print(f"simulated {len(cells)} cells [{time.perf_counter() - started:.1f}s]")
+    for cell_dir, batch_configs in cells.items():
+        started = time.perf_counter()
+        config = _recorded_config(batch_configs)
+        results = {name: next(batches) for name in batch_configs}
+        bundle = ReportBundle(scenario_id=config.scenario_id, config=config, **results)
+        export_bundle(bundle, cell_dir, csv=args.format != "json")
+        yield cell_dir, bundle, time.perf_counter() - started
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    bundle = _run_cell(config, args.policy)
-    cell_dir = Path(args.out) / _cell_name(config)
-    export_bundle(bundle, cell_dir, _formats(args))
-    print(format_summary(bundle))
-    print(f"\nreport bundle written to {cell_dir}")
+    cells = _cells(Path(args.out), [_resolve_config(args)], args.policy)
+    for cell_dir, bundle, _ in _export_cells(cells, args):
+        print(format_summary(bundle))
+        print(f"\nreport bundle written to {cell_dir}")
     return 0
 
 
-def _is_complete(cell_dir: Path, config: ScenarioConfig, policy: str) -> bool:
-    """True when the cell holds a machine record of exactly this config and these policies."""
+def _is_complete(cell_dir: Path, batch_configs: dict[str, ScenarioConfig]) -> bool:
+    """True when the cell holds a machine record of exactly these batches."""
     try:
         stored = json.loads((cell_dir / "config.json").read_text(encoding="utf-8"))
     except (OSError, ValueError):
         return False
-    expected = config_record(_POLICY_NAMES[policy], _policy_configs(config, policy)[-1])
+    expected = config_record(tuple(batch_configs), _recorded_config(batch_configs))
     return stored == expected and (cell_dir / "metrics.json").is_file()
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out)
-    cells = [
+    configs = [
         _apply_overrides(scenario_preset(scenario_id, withdrawal_period_days=period), args)
         for scenario_id in SWEEP_IDS
         for period in WITHDRAWAL_PERIODS
     ]
-    pending = []
-    for config in cells:
-        if _is_complete(out_dir / _cell_name(config), config, args.policy):
-            print(f"{_cell_name(config)}: already complete, skipping")
+    cells = _cells(Path(args.out), configs, args.policy)
+    pending = {}
+    for cell_dir, batch_configs in cells.items():
+        if _is_complete(cell_dir, batch_configs):
+            print(f"{cell_dir.name}: already complete, skipping")
         else:
-            pending.append(config)
+            pending[cell_dir] = batch_configs
 
-    started = time.perf_counter()
-    batches = iter(run_batches(
-        [batch for config in pending for batch in _policy_configs(config, args.policy)]
-    ))
-    if args.verbose and pending:
-        print(f"simulated {len(pending)} cells [{time.perf_counter() - started:.1f}s]")
-    for config in pending:
-        started = time.perf_counter()
-        bundle = _bundle(config, args.policy, [next(batches) for _ in _POLICY_NAMES[args.policy]])
-        export_bundle(bundle, out_dir / _cell_name(config), _formats(args))
-        note = f" [{time.perf_counter() - started:.1f}s]" if args.verbose else ""
+    for cell_dir, bundle, seconds in _export_cells(pending, args):
+        note = f" [{seconds:.1f}s]" if args.verbose else ""
         profits = {
             name: getattr(bundle, name).metrics.amm_profit_pct for name in bundle.policies
         }
         shown = ", ".join(f"{name} profit {value:.2f}%" for name, value in profits.items())
-        print(f"{_cell_name(config)}: {shown}{note}")
+        print(f"{cell_dir.name}: {shown}{note}")
 
+    # every cell now holds metrics.json: skipped cells were checked, the rest just written
     rows = []
-    for config in cells:
-        metrics_path = out_dir / _cell_name(config) / "metrics.json"
-        if not metrics_path.exists():
-            continue
-        record = json.loads(metrics_path.read_text(encoding="utf-8"))
+    for cell_dir in cells:
+        record = json.loads((cell_dir / "metrics.json").read_text(encoding="utf-8"))
         row = diff_row_from_metrics_record(record)
         if row is not None:
             rows.append(row)
     if rows:
-        report_path = write_diff_rows(rows, out_dir / "diff_report.csv")
+        report_path = write_diff_rows(rows, Path(args.out) / "diff_report.csv")
         print(f"policy difference report written to {report_path}")
     return 0
 

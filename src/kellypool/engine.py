@@ -63,17 +63,6 @@ _LANE_BUDGET = 2048
 
 
 @dataclass(frozen=True)
-class TimeSeriesPoint:
-    """Pool state snapshot at the start of one day."""
-
-    day: int
-    liquidity: float
-    premium_reserve: float
-    volume: float
-    cumulative_withdrawn: float
-
-
-@dataclass(frozen=True)
 class DailySeries:
     """Per-day pool trajectories over one run (or averaged over a batch).
 
@@ -85,22 +74,9 @@ class DailySeries:
     premium_reserve: np.ndarray
     volume: np.ndarray
     cumulative_withdrawn: np.ndarray
-    cumulative_premium_collected: np.ndarray
 
     def __len__(self) -> int:
         return len(self.liquidity)
-
-    def point(self, day: int) -> TimeSeriesPoint:
-        return TimeSeriesPoint(
-            day=day,
-            liquidity=float(self.liquidity[day]),
-            premium_reserve=float(self.premium_reserve[day]),
-            volume=float(self.volume[day]),
-            cumulative_withdrawn=float(self.cumulative_withdrawn[day]),
-        )
-
-    def points(self) -> list[TimeSeriesPoint]:
-        return [self.point(day) for day in range(len(self))]
 
     @staticmethod
     def mean(series: Sequence["DailySeries"]) -> "DailySeries":
@@ -209,7 +185,6 @@ def run_simulation(config: ScenarioConfig, sim_index: int = 0) -> SimulationResu
         series["premium_reserve"][day] = pool.premium_reserve
         series["volume"][day] = pool.volume
         series["cumulative_withdrawn"][day] = pool.cumulative_withdrawn
-        series["cumulative_premium_collected"][day] = pool.cumulative_premium_collected
 
         arriving = None
         if day < config.max_entry_days and day < len(invoices):
@@ -463,10 +438,10 @@ def _run_lanes(keys: list[tuple]) -> list[tuple[tuple[SimulationMetrics, ...], D
 
     # day-start snapshots in DailySeries field order, summed per group in
     # simulation order (np.add.accumulate is sequential; np.sum is not)
-    snapshot = np.empty((5, n_sims, n_groups))
-    snapshot_lanes = snapshot.reshape(5, n_lanes)
+    snapshot = np.empty((4, n_sims, n_groups))
+    snapshot_lanes = snapshot.reshape(4, n_lanes)
     running = np.empty_like(snapshot)
-    series_sums = np.empty((horizon, 5, n_groups))
+    series_sums = np.empty((horizon, 4, n_groups))
     pair = np.empty((2, n_lanes))
     quad = np.empty((4, n_lanes))
 
@@ -476,7 +451,6 @@ def _run_lanes(keys: list[tuple]) -> list[tuple[tuple[SimulationMetrics, ...], D
             snapshot_lanes[1] = premium
             np.add(liquidity, premium, out=snapshot_lanes[2])
             snapshot_lanes[3] = ledger[_WITHDRAWN]
-            snapshot_lanes[4] = ledger[_COLLECTED]
             np.add.accumulate(snapshot, axis=1, out=running)
             series_sums[day] = running[:, -1]
 

@@ -118,6 +118,7 @@ class PoolState:
 
     @property
     def volume(self) -> float:
+        """Total funds available to collateralize: liquidity plus premium."""
         return self.liquidity + self.premium_reserve
 
 
@@ -136,11 +137,6 @@ def _add(pool: PoolState, name: str, delta: float) -> None:
 
 def _exact(pool: PoolState, name: str) -> float:
     return getattr(pool, name) + pool._carry.get(name, 0.0)
-
-
-def pool_volume(pool: PoolState) -> float:
-    """Total funds available to collateralize: liquidity plus premium."""
-    return pool.liquidity + pool.premium_reserve
 
 
 def compute_f(demanded_collateral: float, volume: float) -> float:
@@ -173,7 +169,7 @@ def quote_premium(q: float, demanded_collateral: float, pool: PoolState) -> Prem
     """Price an invoice against the current pool state. Pure: pool unchanged."""
     if demanded_collateral <= 0.0:
         raise ValueError("demanded collateral must be positive")
-    f = compute_f(demanded_collateral, pool_volume(pool))
+    f = compute_f(demanded_collateral, pool.volume)
     b = compute_b(q, f)
     return PremiumQuote(f=f, b=b, premium=b * demanded_collateral)
 
@@ -195,7 +191,7 @@ def accept_invoice(pool: PoolState, invoice: Invoice) -> PremiumQuote | Rejectio
             f"pool is at day {pool.day}"
         )
     demanded = invoice.demanded_collateral
-    volume = pool_volume(pool)
+    volume = pool.volume
     try:
         quote = quote_premium(invoice.q, demanded, pool)
     except NonPositiveDenominatorError:

@@ -18,6 +18,7 @@ import tempfile
 from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
+from typing import Iterator
 
 from .engine import BatchResult, SimulationMetrics, WithdrawalComparison, profit_difference_pct
 from .scenarios import ScenarioConfig
@@ -143,6 +144,12 @@ def metrics_record(bundle: ReportBundle) -> dict:
     return record
 
 
+def _metric_rows(record: dict) -> Iterator[tuple[str, list]]:
+    """The metric grid of a metrics record: each metric with its value per policy column."""
+    for name in METRIC_FIELDS:
+        yield name, [column[name] for column in record["metrics"].values()]
+
+
 def write_metrics_json(bundle: ReportBundle, path: str | Path) -> Path:
     path = Path(path)
     _atomic_write(path, json.dumps(metrics_record(bundle), indent=2) + "\n")
@@ -151,40 +158,22 @@ def write_metrics_json(bundle: ReportBundle, path: str | Path) -> Path:
 
 def write_metrics_csv(bundle: ReportBundle, path: str | Path) -> Path:
     record = metrics_record(bundle)
-    columns = list(record["metrics"])
-    lines = [f"# difference_pct = {DIFFERENCE_CONVENTION}", "metric," + ",".join(columns)]
-    for name in METRIC_FIELDS:
-        cells = []
-        for column in columns:
-            value = record["metrics"][column][name]
-            cells.append("" if value is None else repr(value))
-        lines.append(f"{name}," + ",".join(cells))
+    lines = [f"# difference_pct = {DIFFERENCE_CONVENTION}", "metric," + ",".join(record["metrics"])]
+    for name, values in _metric_rows(record):
+        lines.append(f"{name}," + ",".join("" if v is None else repr(v) for v in values))
     path = Path(path)
     _atomic_write(path, "\n".join(lines) + "\n")
     return path
 
 
-def write_timeseries_csv(
-    bundle_result: BatchResult, path: str | Path, premium_source: str = "reserve"
-) -> Path:
-    """One row per day of the (mean) trajectory.
-
-    ``premium_source`` selects what the premium column reports: the
-    premium reserve (default) or the cumulative premium collected.
-    """
-    if premium_source not in ("reserve", "cumulative"):
-        raise ValueError("premium_source must be 'reserve' or 'cumulative'")
+def write_timeseries_csv(bundle_result: BatchResult, path: str | Path) -> Path:
+    """One row per day of the (mean) trajectory; the premium column is the reserve."""
     series = bundle_result.mean_series
-    premium = (
-        series.premium_reserve
-        if premium_source == "reserve"
-        else series.cumulative_premium_collected
-    )
     lines = [TIMESERIES_HEADER]
     for day in range(len(series)):
         lines.append(
             f"{day},{round_money(float(series.liquidity[day]))},"
-            f"{round_money(float(premium[day]))},"
+            f"{round_money(float(series.premium_reserve[day]))},"
             f"{round_money(float(series.volume[day]))},"
             f"{round_money(float(series.cumulative_withdrawn[day]))}"
         )
@@ -217,15 +206,18 @@ def write_config_json(bundle: ReportBundle, path: str | Path) -> Path:
     return path
 
 
-def export_bundle(
-    bundle: ReportBundle, directory: str | Path, formats: tuple[str, ...] = ("json", "csv")
-) -> list[Path]:
-    """Write the full file set for one scenario cell into ``directory``."""
+def export_bundle(bundle: ReportBundle, directory: str | Path, csv: bool = True) -> list[Path]:
+    """Write the file set for one scenario cell into ``directory``.
+
+    ``metrics.json``, the record that resume and the diff report read, is
+    always written; ``csv`` adds ``metrics.csv``.
+    """
     directory = Path(directory)
-    written = [write_config_json(bundle, directory / "config.json")]
-    if "json" in formats:
-        written.append(write_metrics_json(bundle, directory / "metrics.json"))
-    if "csv" in formats:
+    written = [
+        write_config_json(bundle, directory / "config.json"),
+        write_metrics_json(bundle, directory / "metrics.json"),
+    ]
+    if csv:
         written.append(write_metrics_csv(bundle, directory / "metrics.csv"))
     for name in bundle.policies:
         result: BatchResult = getattr(bundle, name)
@@ -235,31 +227,17 @@ def export_bundle(
 
 
 def diff_report_rows(bundles: list[ReportBundle]) -> list[dict]:
-    """Per scenario and period: absolute profits, difference, and flags."""
-    rows = []
-    for bundle in bundles:
-        if bundle.no_withdrawal is None or bundle.withdrawal is None:
-            continue
-        without = round_money(bundle.no_withdrawal.metrics.amm_profit)
-        with_ = round_money(bundle.withdrawal.metrics.amm_profit)
-        diff = profit_difference_pct(without, with_)
-        rows.append(
-            {
-                "scenario_id": bundle.scenario_id,
-                "withdrawal_period_days": bundle.config.withdrawal_period_days,
-                "profit_no_withdrawal": without,
-                "profit_withdrawal": with_,
-                "difference_pct": None if diff is None else round_fraction(diff),
-                "sign_change": (without < 0) != (with_ < 0),
-                "loss_no_withdrawal": without < 0,
-                "loss_withdrawal": with_ < 0,
-            }
-        )
-    return rows
+    """Diff-report rows of the paired bundles; single-policy bundles are skipped."""
+    rows = (diff_row_from_metrics_record(metrics_record(bundle)) for bundle in bundles)
+    return [row for row in rows if row is not None]
 
 
 def diff_row_from_metrics_record(record: dict) -> dict | None:
-    """Rebuild a diff-report row from a written metrics record, if paired."""
+    """Per scenario and period: absolute profits, difference, and flags.
+
+    Built from a metrics record, in memory or read back from
+    ``metrics.json``; None unless the record is paired.
+    """
     metrics = record.get("metrics", {})
     if "no_withdrawal" not in metrics or "withdrawal" not in metrics:
         return None
@@ -279,6 +257,7 @@ def diff_row_from_metrics_record(record: dict) -> dict | None:
 
 
 def write_diff_rows(rows: list[dict], path: str | Path) -> Path:
+    """Cross-scenario comparison of profit with and without withdrawal."""
     if not rows:
         raise ValueError("diff report needs at least one paired bundle")
     columns = list(rows[0])
@@ -291,21 +270,13 @@ def write_diff_rows(rows: list[dict], path: str | Path) -> Path:
     return path
 
 
-def write_diff_report(bundles: list[ReportBundle], path: str | Path) -> Path:
-    """Cross-scenario comparison of profit with and without withdrawal."""
-    return write_diff_rows(diff_report_rows(bundles), path)
-
-
 def format_summary(bundle: ReportBundle) -> str:
     """Fixed-width metric table for terminal output."""
     record = metrics_record(bundle)
     columns = list(record["metrics"])
     header = ["metric".ljust(28)] + [c.rjust(16) for c in columns]
     lines = [" ".join(header), "-" * (28 + 17 * len(columns))]
-    for name in METRIC_FIELDS:
-        row = [name.ljust(28)]
-        for column in columns:
-            value = record["metrics"][column][name]
-            row.append(("" if value is None else f"{value:,}").rjust(16))
-        lines.append(" ".join(row))
+    for name, values in _metric_rows(record):
+        cells = [("" if v is None else f"{v:,}").rjust(16) for v in values]
+        lines.append(" ".join([name.ljust(28)] + cells))
     return "\n".join(lines)

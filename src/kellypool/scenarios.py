@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,6 +42,31 @@ class ConfigError(ValueError):
 
 
 WITHDRAWAL_PERIODS = (1, 30, 90)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+# Checks per field annotation; an int passes as a float.
+_TYPE_CHECKS = {
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "int": (_is_int, "an integer"),
+    "float": (_is_number, "a finite number"),
+    "tuple[int, int]": (
+        lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(_is_int, v)),
+        "a pair of integers",
+    ),
+    "tuple[float, float]": (
+        lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(_is_number, v)),
+        "a pair of finite numbers",
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -78,6 +105,10 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name, optional, check, expected in _FIELD_CHECKS:
+            value = getattr(self, name)
+            if not (check(value) or optional and value is None):
+                raise ConfigError(f"{name} must be {expected}, got {value!r}")
         if self.n_simulations < 1:
             raise ConfigError("n_simulations must be at least 1")
         if self.initial_collateral <= 0:
@@ -149,7 +180,7 @@ class ScenarioConfig:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         kwargs = dict(data)
         for key in ("q_range", "amount_range", "delay_range_days"):
-            if key in kwargs and kwargs[key] is not None:
+            if isinstance(kwargs.get(key), list):
                 kwargs[key] = tuple(kwargs[key])
         return cls(**kwargs)
 
@@ -162,6 +193,13 @@ class ScenarioConfig:
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: config file must hold a JSON object")
         return cls.from_dict(data)
+
+
+# Per field: its name, whether it may be None, and the check of its annotated type.
+_FIELD_CHECKS = tuple(
+    (f.name, f.type.endswith(" | None"), *_TYPE_CHECKS[f.type.removesuffix(" | None")])
+    for f in dataclasses.fields(ScenarioConfig)
+)
 
 
 # --- Preset catalog ---------------------------------------------------------

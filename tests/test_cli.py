@@ -106,6 +106,27 @@ class TestSimulate:
         assert code == 2
         assert "unknown config fields" in err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_simulations", "3"),
+            ("q_range", 5),
+            ("seed", "x"),
+            ("n_invoices", 2.5),
+            ("withdrawal_enabled", "no"),
+            ("initial_collateral", True),
+            ("initial_collateral", float("inf")),
+            ("amount_range", [100, float("inf")]),
+            ("delay_range_days", [30, 60, 90]),
+        ],
+    )
+    def test_wrongly_typed_config_field_exits_2(self, capsys, tmp_path, field, value):
+        config_path = tmp_path / "typed.json"
+        config_path.write_text(json.dumps({"n_invoices": 5, "n_simulations": 1, field: value}))
+        code, _, err = run_cli(capsys, "simulate", "--config", str(config_path), "--out", str(tmp_path))
+        assert code == 2
+        assert field in err
+
     def test_single_policy_run(self, capsys, tmp_path):
         code, _, _ = run_cli(
             capsys, "simulate", "--scenario", "5.3", "--sims", "2", "--policy", "without",

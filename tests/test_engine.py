@@ -97,9 +97,9 @@ class TestRunSimulation:
     def test_default_run_emits_650_days(self):
         result = run_simulation(scenario_preset("baseline", n_simulations=1), 0)
         assert len(result.series) == 650
-        first = result.series.point(0)
-        assert (first.liquidity, first.premium_reserve) == (10_000.0, 0.0)
-        assert first.volume == 10_000.0
+        series = result.series
+        assert (series.liquidity[0], series.premium_reserve[0]) == (10_000.0, 0.0)
+        assert series.volume[0] == 10_000.0
         assert result.metrics.horizon_days == 650
         assert result.metrics.total_invoices == 500
 

@@ -18,7 +18,6 @@ from kellypool import (
     conservation_residual,
     finalize_losses,
     lp_deposit,
-    pool_volume,
     quote_premium,
     repay_invoice,
     withdraw_premium,
@@ -42,15 +41,15 @@ def make_invoice(q=0.4, amount=800.0, day=0, delay=30, **kwargs):
 
 class TestPoolVolume:
     def test_liquidity_plus_premium(self):
-        assert pool_volume(PoolState(liquidity=1800.0)) == 1800.0
-        assert pool_volume(PoolState(liquidity=1000.0, premium_reserve=303.16)) == pytest.approx(1303.16)
+        assert PoolState(liquidity=1800.0).volume == 1800.0
+        assert PoolState(liquidity=1000.0, premium_reserve=303.16).volume == pytest.approx(1303.16)
 
     def test_empty_pool(self):
-        assert pool_volume(PoolState()) == 0.0
+        assert PoolState().volume == 0.0
 
     def test_volume_property_matches(self):
         pool = PoolState(liquidity=12.5, premium_reserve=7.5)
-        assert pool.volume == pool_volume(pool) == 20.0
+        assert pool.volume == pool.liquidity + pool.premium_reserve == 20.0
 
 
 class TestComputeF:

@@ -15,14 +15,19 @@ from kellypool import (
     round_money,
     run_batch,
     scenario_preset,
-    write_diff_report,
     write_metrics_csv,
     write_metrics_json,
     write_runs_csv,
     write_timeseries_csv,
 )
 from kellypool.engine import BatchResult, DailySeries, SimulationMetrics
-from kellypool.reports import METRIC_FIELDS, MONEY_FIELDS, TIMESERIES_HEADER
+from kellypool.reports import (
+    METRIC_FIELDS,
+    MONEY_FIELDS,
+    TIMESERIES_HEADER,
+    diff_report_rows,
+    write_diff_rows,
+)
 
 
 @pytest.fixture(scope="module")
@@ -135,19 +140,6 @@ class TestTimeseriesExport:
             _, liq, prem, vol, _ = (float(x) for x in line.split(","))
             assert vol == pytest.approx(liq + prem, abs=0.02)
 
-    def test_cumulative_premium_source(self, paired_bundle, tmp_path):
-        reserve = write_timeseries_csv(
-            paired_bundle.withdrawal, tmp_path / "r.csv", premium_source="reserve"
-        )
-        cumulative = write_timeseries_csv(
-            paired_bundle.withdrawal, tmp_path / "c.csv", premium_source="cumulative"
-        )
-        last_reserve = float(reserve.read_text().splitlines()[-1].split(",")[2])
-        last_cumulative = float(cumulative.read_text().splitlines()[-1].split(",")[2])
-        assert last_cumulative >= last_reserve
-        with pytest.raises(ValueError):
-            write_timeseries_csv(paired_bundle.withdrawal, tmp_path / "x.csv", premium_source="other")
-
 
 class TestRunsExport:
     def test_one_row_per_simulation(self, paired_bundle, tmp_path):
@@ -182,7 +174,7 @@ class TestExportBundle:
         assert rerun.metrics == paired_bundle.no_withdrawal.metrics
 
     def test_json_only_format(self, single_bundle, tmp_path):
-        written = export_bundle(single_bundle, tmp_path / "cell", formats=("json",))
+        written = export_bundle(single_bundle, tmp_path / "cell", csv=False)
         names = {p.name for p in written}
         assert "metrics.csv" not in names and "metrics.json" in names
 
@@ -201,7 +193,7 @@ def _stub_batch(profit, scenario_id="stub", period=30):
         remaining_premium=0.0, remaining_premium_x_ic=0.0,
         final_volume=profit + 10_000.0, amm_profit=profit, amm_profit_pct=profit / 100.0,
     )
-    series = DailySeries(zeros, zeros, zeros, zeros, zeros)
+    series = DailySeries(zeros, zeros, zeros, zeros)
     return BatchResult(config=config, metrics=metrics, mean_series=series, per_run=(metrics,))
 
 
@@ -213,7 +205,7 @@ class TestDiffReport:
             no_withdrawal=_stub_batch(100.0),
             withdrawal=_stub_batch(100.0),
         )
-        path = write_diff_report([bundle], tmp_path / "diff.csv")
+        path = write_diff_rows(diff_report_rows([bundle]), tmp_path / "diff.csv")
         lines = path.read_text().splitlines()
         assert lines[1].split(",")[0] == "scenario_id"
         row = dict(zip(lines[1].split(","), lines[2].split(",")))
@@ -227,7 +219,7 @@ class TestDiffReport:
             no_withdrawal=_stub_batch(-500.0),
             withdrawal=_stub_batch(2_000.0),
         )
-        path = write_diff_report([bundle], tmp_path / "diff.csv")
+        path = write_diff_rows(diff_report_rows([bundle]), tmp_path / "diff.csv")
         row_cells = path.read_text().splitlines()[2].split(",")
         header = path.read_text().splitlines()[1].split(",")
         row = dict(zip(header, row_cells))
@@ -238,7 +230,7 @@ class TestDiffReport:
 
     def test_single_policy_bundles_skipped(self, single_bundle, tmp_path):
         with pytest.raises(ValueError):
-            write_diff_report([single_bundle], tmp_path / "diff.csv")
+            write_diff_rows(diff_report_rows([single_bundle]), tmp_path / "diff.csv")
 
 
 class TestFormatSummary:

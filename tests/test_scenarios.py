@@ -92,6 +92,14 @@ class TestScenarioConfig:
         assert config.n_invoices == 25 and config.seed == 7
         assert config.horizon_days == 25 + 120 + 30
 
+    def test_int_accepted_for_float_fields(self):
+        config = ScenarioConfig.from_dict(
+            {"initial_collateral": 5000, "amount_range": [100, 2000], "withdrawal_fraction": 1}
+        )
+        assert config.initial_collateral == 5000.0
+        assert config.amount_range == (100, 2000)
+        assert config.withdrawal_fraction == 1.0
+
     def test_from_json_file_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("not json at all")
