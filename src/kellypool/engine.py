@@ -372,6 +372,8 @@ def _run_pass(keys: list[tuple]) -> list[tuple[tuple[SimulationMetrics, ...], Da
 # Rows of the lane ledger.  The order makes every set of accumulators
 # that one event updates a contiguous slice.
 _LP, _LIQ, _OUT, _COLLECTED, _PREM, _WITHDRAWN = range(6)
+_HELD_ROWS = [_LIQ, _PREM, _OUT, _WITHDRAWN]
+_ENTERED_ROWS = [_LP, _COLLECTED]
 
 
 def _two_sum(value: np.ndarray, carry: np.ndarray, delta: np.ndarray) -> None:
@@ -415,15 +417,19 @@ def _run_lanes(keys: list[tuple]) -> list[tuple[tuple[SimulationMetrics, ...], D
 
     limit = per_lane([min(c.max_entry_days, c.n_invoices) for c in group_configs], np.int64)
     last_arrival = int(limit.max())
-    entered_initially = per_lane([c.initial_collateral + c.initial_premium for c in group_configs])
+    initial_funds = np.stack([
+        per_lane([c.initial_collateral for c in group_configs]),
+        per_lane([c.initial_premium for c in group_configs]),
+    ])
+    entered_initially = initial_funds[0] + initial_funds[1]
     period = per_lane([c.withdrawal_period_days if c.withdrawal_enabled else 0 for c in group_configs], np.int64)
     fraction = per_lane([c.withdrawal_fraction if c.withdrawal_enabled else 0.0 for c in group_configs])
     periods = sorted({c.withdrawal_period_days for c in group_configs if c.withdrawal_enabled})
     fractions_on: dict[tuple[int, ...], np.ndarray] = {}
 
     ledger = np.zeros((6, n_lanes))
-    ledger[_LIQ] = per_lane([c.initial_collateral for c in group_configs])
-    ledger[_PREM] = per_lane([c.initial_premium for c in group_configs])
+    ledger[_LIQ] = initial_funds[0]
+    ledger[_PREM] = initial_funds[1]
     carry = np.zeros((6, n_lanes))
     liquidity, premium = ledger[_LIQ], ledger[_PREM]
     n_accepted = np.zeros(n_lanes, dtype=np.int64)
@@ -526,19 +532,34 @@ def _run_lanes(keys: list[tuple]) -> list[tuple[tuple[SimulationMetrics, ...], D
             held = ((exact[_LIQ] + exact[_PREM]) + exact[_OUT]) + exact[_WITHDRAWN]
             entered = (entered_initially + exact[_LP]) + exact[_COLLECTED]
             residual = np.abs(held - entered)
-            worst = residual.max()
-            if not worst <= _CONSERVATION_GUARD:
-                lane = int(np.argmax(residual))
-                raise LedgerError(
-                    f"conservation violated on day {day} in simulation {lane // n_groups} "
-                    f"of batch {keys[lane % n_groups]}: residual {worst}"
-                )
+            if not residual.max() <= _CONSERVATION_GUARD:
+                # the float sum rounds at the ulp of large pools: recheck exactly
+                lanes = np.flatnonzero(~(residual <= _CONSERVATION_GUARD))
+                exact = _exact_residuals(ledger, carry, initial_funds, lanes)
+                worst = int(np.argmax(exact))
+                if not exact[worst] <= _CONSERVATION_GUARD:
+                    lane = int(lanes[worst])
+                    raise LedgerError(
+                        f"conservation violated on day {day} in simulation {lane // n_groups} "
+                        f"of batch {keys[lane % n_groups]}: residual {exact[worst]}"
+                    )
 
     return _reduce_lanes(
         group_configs, n_sims, series_sums,
         n_accepted, n_paid, covered, loss,
         liquidity + premium, ledger[_WITHDRAWN], premium,
     )
+
+
+def _exact_residuals(
+    ledger: np.ndarray, carry: np.ndarray, initial_funds: np.ndarray, lanes: np.ndarray
+) -> np.ndarray:
+    """|conservation residual| of the given lanes, summed exactly as ``conservation_residual`` does."""
+    terms = np.concatenate([
+        ledger[_HELD_ROWS], carry[_HELD_ROWS],
+        -ledger[_ENTERED_ROWS], -carry[_ENTERED_ROWS], -initial_funds,
+    ])
+    return np.abs([math.fsum(column) for column in terms[:, lanes].T.tolist()])
 
 
 def _invoice_tables(stream_configs: list[ScenarioConfig], n_sims: int, horizon: int):

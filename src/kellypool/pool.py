@@ -28,6 +28,7 @@ happens only at reporting boundaries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclasses_field
 from enum import Enum
 from typing import Iterable
@@ -133,10 +134,6 @@ def _add(pool: PoolState, name: str, delta: float) -> None:
     if error != 0.0:
         pool._carry[name] = pool._carry.get(name, 0.0) + error
     setattr(pool, name, total)
-
-
-def _exact(pool: PoolState, name: str) -> float:
-    return getattr(pool, name) + pool._carry.get(name, 0.0)
 
 
 def compute_f(demanded_collateral: float, volume: float) -> float:
@@ -285,18 +282,18 @@ def conservation_residual(
 
     Every euro in the pool is either still in a reserve, lent out, or
     withdrawn, and every euro entered as initial funds, an LP deposit,
-    or collected premium.
+    or collected premium.  Each accumulator counts with its carry, and
+    the terms are summed exactly (``math.fsum``): a float sum rounds at
+    the ulp of the largest term, which exceeds the engine's 1e-6 guard
+    on pools from about 1e9 euros.
     """
-    held = (
-        _exact(pool, "liquidity")
-        + _exact(pool, "premium_reserve")
-        + _exact(pool, "outstanding_lent")
-        + _exact(pool, "cumulative_withdrawn")
-    )
-    entered = (
-        initial_liquidity
-        + initial_premium
-        + _exact(pool, "cumulative_lp_deposits")
-        + _exact(pool, "cumulative_premium_collected")
-    )
-    return held - entered
+    carry = pool._carry.get
+    return math.fsum((
+        pool.liquidity, carry("liquidity", 0.0),
+        pool.premium_reserve, carry("premium_reserve", 0.0),
+        pool.outstanding_lent, carry("outstanding_lent", 0.0),
+        pool.cumulative_withdrawn, carry("cumulative_withdrawn", 0.0),
+        -initial_liquidity, -initial_premium,
+        -pool.cumulative_lp_deposits, -carry("cumulative_lp_deposits", 0.0),
+        -pool.cumulative_premium_collected, -carry("cumulative_premium_collected", 0.0),
+    ))

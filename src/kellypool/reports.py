@@ -4,6 +4,10 @@ File conventions: metrics are written as canonical JSON and as a flat
 CSV; time series as CSV with the header ``day,liquidity,premium,volume,
 withdrawn``.  Money fields are rounded half-up to 2 decimals, every
 other numeric field to 4 decimals, always UTF-8 and newline-terminated.
+Rounding is half-up on the decimal ``repr`` of a value: ``round_money``
+and ``round_fraction`` do it one value at a time through ``Decimal`` and
+are the reference.  The exporters round whole arrays at once
+(``_rounded``, ``_rounded_texts``) to the same floats and the same text.
 The policy-difference column follows ``100 * (withdrawal -
 no_withdrawal) / |no_withdrawal|`` computed from the rounded columns,
 and is left empty when the no-withdrawal value is zero.  All files are
@@ -12,13 +16,17 @@ written atomically (temp file plus rename).
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import tempfile
 from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_UP, Decimal
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .engine import BatchResult, SimulationMetrics, WithdrawalComparison, profit_difference_pct
 from .scenarios import ScenarioConfig
@@ -50,28 +58,110 @@ def round_fraction(value: float) -> float:
     return float(Decimal(repr(value)).quantize(Decimal("0.0001"), rounding=ROUND_HALF_UP))
 
 
-def _rounded_metrics(metrics: SimulationMetrics) -> dict:
-    out = {}
-    for name in METRIC_FIELDS:
-        value = getattr(metrics, name)
-        if isinstance(value, int):
-            out[name] = value
-        elif name in MONEY_FIELDS:
-            out[name] = round_money(value)
-        else:
-            out[name] = round_fraction(value)
-    return out
+_MONEY_SCALE = 100
+_FRACTION_SCALE = 10_000
+
+
+@functools.cache
+def _decimals() -> tuple[str, ...]:
+    """The decimal places of d / 10,000 as ``repr`` writes them: ".0", ".0001", ..., ".9999"."""
+    return (".0", *(f".{d:04d}".rstrip("0") for d in range(1, _FRACTION_SCALE)))
+
+
+def _half_up(values, scale):
+    """Half-up rounding of a whole array at once, on the decimal ``repr``.
+
+    ``scale`` (100 for money, 10,000 for fractions) is one scale or one
+    per column.  With ``s = |x| * scale``, the rounded value is
+    ``k / scale`` with ``k = floor(s)`` plus one when the fraction of
+    ``s`` is at least one half, and the sign of ``x``, so a negative
+    value that rounds to zero gives -0.0 as ``Decimal`` does.  ``repr(x)``
+    and the binary value of ``x`` differ by at most about one ulp of
+    ``s``, so they can round apart only when ``s`` lies within a few ulp
+    of a half.  Those values, the ones at 2**50 and above and the
+    non-finite ones are marked ``unsure``: the reference rounds them.
+
+    Returns ``x``, the scale of each value, ``k`` and ``unsure``.
+    """
+    x = np.array(values, dtype=np.float64)
+    scale = np.broadcast_to(scale, x.shape)
+    with np.errstate(invalid="ignore", over="ignore"):
+        s = np.abs(x) * scale
+        whole = np.floor(s)
+        fraction = s - whole
+        k = whole + (fraction >= 0.5)
+        unsure = ~(s < 2.0**50) | (np.abs(fraction - 0.5) <= 16 * np.spacing(s))
+    return x, scale, k, unsure
+
+
+def _reference(x: np.ndarray, scale: np.ndarray, index: tuple) -> float:
+    reference = round_money if scale[index] == _MONEY_SCALE else round_fraction
+    return reference(float(x[index]))
+
+
+def _rounded(values, scale) -> list:
+    """``round_money`` or ``round_fraction`` of every value, as nested lists of floats."""
+    x, scale, k, unsure = _half_up(values, scale)
+    rounded = np.copysign(k / scale, x)
+    for index in zip(*np.nonzero(unsure)):
+        rounded[index] = _reference(x, scale, index)
+    return rounded.tolist()
+
+
+def _rounded_texts(table, scale) -> list[list[str]]:
+    """``repr`` of every rounded value of a 2-D table, column by column.
+
+    Written from ``k``: below 2**50 / scale, ``repr(k / scale)`` is the
+    decimal ``k / scale`` with its trailing zeros stripped and at least
+    one decimal place kept, because neighbouring doubles there lie much
+    closer together than one step of the last decimal.
+    """
+    x, scale, k, unsure = _half_up(table, scale)
+    scale = scale.astype(np.int64)
+    whole, part = np.divmod(np.where(unsure, 0.0, k).astype(np.int64), scale)
+    decimals = part * (_FRACTION_SCALE // scale)
+    texts = _decimals()
+    columns = [
+        [f"{w}{texts[d]}" for w, d in zip(whole_column, decimals_column)]
+        for whole_column, decimals_column in zip(whole.T.tolist(), decimals.T.tolist())
+    ]
+    for i, j in zip(*np.nonzero(np.signbit(x) & ~unsure)):
+        columns[j][i] = "-" + columns[j][i]
+    for i, j in zip(*np.nonzero(unsure)):
+        columns[j][i] = repr(_reference(x, scale, (i, j)))
+    return columns
+
+
+_metric_values = attrgetter(*METRIC_FIELDS)
+_METRIC_SCALES = np.array(
+    [_MONEY_SCALE if name in MONEY_FIELDS else _FRACTION_SCALE for name in METRIC_FIELDS]
+)
+
+
+def _rounded_metric_rows(metrics: Sequence[SimulationMetrics]) -> list[list]:
+    """Each run's metric values in field order, rounded for reporting.
+
+    A value that is an int stays that int (``0``, never ``0.0``); a float
+    is rounded at 2 decimals for money fields and 4 for the others.
+    """
+    rows = [_metric_values(m) for m in metrics]
+    return [
+        [value if isinstance(value, int) else rounded for value, rounded in zip(row, rounded_row)]
+        for row, rounded_row in zip(rows, _rounded(rows, _METRIC_SCALES))
+    ]
 
 
 def _difference_column(without: dict, with_: dict) -> dict:
-    diff = {}
-    for name in METRIC_FIELDS:
-        base, other = without[name], with_[name]
-        if base == 0:
-            diff[name] = 0.0 if other == 0 else None
-        else:
-            diff[name] = round_fraction(100.0 * (other - base) / abs(base))
-    return diff
+    changes = {
+        name: 100.0 * (with_[name] - base) / abs(base)
+        for name, base in without.items()
+        if base != 0
+    }
+    rounded = dict(zip(changes, _rounded(list(changes.values()), _FRACTION_SCALE)))
+    return {
+        name: rounded[name] if name in rounded else (0.0 if with_[name] == 0 else None)
+        for name in METRIC_FIELDS
+    }
 
 
 @dataclass(frozen=True)
@@ -133,10 +223,11 @@ def metrics_record(bundle: ReportBundle) -> dict:
         "metrics": {},
         "loss": {},
     }
-    for name in bundle.policies:
-        result: BatchResult = getattr(bundle, name)
-        record["metrics"][name] = _rounded_metrics(result.metrics)
-        record["loss"][name] = result.metrics.amm_profit < 0.0
+    batch_metrics = [getattr(bundle, name).metrics for name in bundle.policies]
+    rows = _rounded_metric_rows(batch_metrics)
+    for name, metrics, row in zip(bundle.policies, batch_metrics, rows):
+        record["metrics"][name] = dict(zip(METRIC_FIELDS, row))
+        record["loss"][name] = metrics.amm_profit < 0.0
     if len(bundle.policies) == 2:
         record["metrics"]["difference_pct"] = _difference_column(
             record["metrics"]["no_withdrawal"], record["metrics"]["withdrawal"]
@@ -151,17 +242,22 @@ def _metric_rows(record: dict) -> Iterator[tuple[str, list]]:
 
 
 def write_metrics_json(bundle: ReportBundle, path: str | Path) -> Path:
-    path = Path(path)
-    _atomic_write(path, json.dumps(metrics_record(bundle), indent=2) + "\n")
+    return _write_metrics_json(metrics_record(bundle), Path(path))
+
+
+def _write_metrics_json(record: dict, path: Path) -> Path:
+    _atomic_write(path, json.dumps(record, indent=2) + "\n")
     return path
 
 
 def write_metrics_csv(bundle: ReportBundle, path: str | Path) -> Path:
-    record = metrics_record(bundle)
+    return _write_metrics_csv(metrics_record(bundle), Path(path))
+
+
+def _write_metrics_csv(record: dict, path: Path) -> Path:
     lines = [f"# difference_pct = {DIFFERENCE_CONVENTION}", "metric," + ",".join(record["metrics"])]
     for name, values in _metric_rows(record):
         lines.append(f"{name}," + ",".join("" if v is None else repr(v) for v in values))
-    path = Path(path)
     _atomic_write(path, "\n".join(lines) + "\n")
     return path
 
@@ -169,14 +265,13 @@ def write_metrics_csv(bundle: ReportBundle, path: str | Path) -> Path:
 def write_timeseries_csv(bundle_result: BatchResult, path: str | Path) -> Path:
     """One row per day of the (mean) trajectory; the premium column is the reserve."""
     series = bundle_result.mean_series
+    columns = _rounded_texts(
+        np.stack([series.liquidity, series.premium_reserve, series.volume,
+                  series.cumulative_withdrawn], axis=1),
+        _MONEY_SCALE,
+    )
     lines = [TIMESERIES_HEADER]
-    for day in range(len(series)):
-        lines.append(
-            f"{day},{round_money(float(series.liquidity[day]))},"
-            f"{round_money(float(series.premium_reserve[day]))},"
-            f"{round_money(float(series.volume[day]))},"
-            f"{round_money(float(series.cumulative_withdrawn[day]))}"
-        )
+    lines.extend(map(",".join, zip(map(str, range(len(series))), *columns)))
     path = Path(path)
     _atomic_write(path, "\n".join(lines) + "\n")
     return path
@@ -184,10 +279,13 @@ def write_timeseries_csv(bundle_result: BatchResult, path: str | Path) -> Path:
 
 def write_runs_csv(bundle_result: BatchResult, path: str | Path) -> Path:
     """Per-simulation metrics table for dispersion analysis."""
+    rows = [_metric_values(m) for m in bundle_result.per_run]
+    columns = [
+        [str(value) if isinstance(value, int) else text for value, text in zip(values, texts)]
+        for values, texts in zip(zip(*rows), _rounded_texts(rows, _METRIC_SCALES))
+    ]
     lines = ["sim_index," + ",".join(METRIC_FIELDS)]
-    for index, metrics in enumerate(bundle_result.per_run):
-        rounded = _rounded_metrics(metrics)
-        lines.append(f"{index}," + ",".join(repr(rounded[name]) for name in METRIC_FIELDS))
+    lines.extend(map(",".join, zip(map(str, range(len(rows))), *columns)))
     path = Path(path)
     _atomic_write(path, "\n".join(lines) + "\n")
     return path
@@ -213,12 +311,13 @@ def export_bundle(bundle: ReportBundle, directory: str | Path, csv: bool = True)
     always written; ``csv`` adds ``metrics.csv``.
     """
     directory = Path(directory)
+    record = metrics_record(bundle)
     written = [
         write_config_json(bundle, directory / "config.json"),
-        write_metrics_json(bundle, directory / "metrics.json"),
+        _write_metrics_json(record, directory / "metrics.json"),
     ]
     if csv:
-        written.append(write_metrics_csv(bundle, directory / "metrics.csv"))
+        written.append(_write_metrics_csv(record, directory / "metrics.csv"))
     for name in bundle.policies:
         result: BatchResult = getattr(bundle, name)
         written.append(write_timeseries_csv(result, directory / f"timeseries_{name}.csv"))
@@ -249,7 +348,7 @@ def diff_row_from_metrics_record(record: dict) -> dict | None:
         "withdrawal_period_days": record["config"]["withdrawal_period_days"],
         "profit_no_withdrawal": without,
         "profit_withdrawal": with_,
-        "difference_pct": None if diff is None else round_fraction(diff),
+        "difference_pct": None if diff is None else _rounded([diff], _FRACTION_SCALE)[0],
         "sign_change": (without < 0) != (with_ < 0),
         "loss_no_withdrawal": without < 0,
         "loss_withdrawal": with_ < 0,

@@ -43,6 +43,13 @@ class ConfigError(ValueError):
 
 WITHDRAWAL_PERIODS = (1, 30, 90)
 
+# The envelope of a config that simulates.  Invoice count and horizon size
+# the per-day tables and the repayment ring; the cap is about four times
+# the 50,150 days of a 50,000-invoice run.  Every euro that can enter the
+# pool must stay below 2**53 cents, where float64 still resolves a cent.
+_MAX_DAYS = 200_000
+_MAX_MONEY = 2.0**53 / 100
+
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -78,7 +85,8 @@ class ScenarioConfig:
     of the initial collateral.  ``max_entry_days`` defaults to the
     number of invoices (one arrival per day) and ``horizon_days`` is
     derived as ``max_entry_days + max delay + additional_days`` so that
-    every genuine invoice can repay before the run ends.
+    every genuine invoice can repay before the run ends.  A config
+    outside the envelope (``_MAX_DAYS``, ``_MAX_MONEY``) is rejected.
     """
 
     scenario_id: str = "custom"
@@ -157,6 +165,27 @@ class ScenarioConfig:
             raise ConfigError(
                 f"horizon_days must equal max_entry_days + max delay + additional_days "
                 f"= {derived}, got {self.horizon_days}"
+            )
+        if max(self.n_invoices, self.horizon_days) > _MAX_DAYS:
+            raise ConfigError(
+                f"n_invoices and horizon_days must be at most {_MAX_DAYS:,}, "
+                f"got {self.n_invoices:,} and {self.horizon_days:,}"
+            )
+        if self.amount_range is not None:
+            largest_amount = self.amount_range[1]
+        else:
+            largest_amount = self.amount_fraction_of_initial * self.initial_collateral
+        money = (
+            self.initial_collateral
+            + self.initial_premium
+            + self.n_invoices * largest_amount
+            + self.horizon_days * self.lp_cap_fraction * self.initial_collateral
+        )
+        if not money < _MAX_MONEY:
+            raise ConfigError(
+                f"initial funds, n_invoices x the largest amount and horizon_days x the LP cap "
+                f"add up to {money:.6g} euros; they must stay below 2**53 cents "
+                f"({_MAX_MONEY:.6g} euros)"
             )
 
     def replace(self, **changes) -> "ScenarioConfig":
@@ -359,8 +388,8 @@ def decode_streams(config: ScenarioConfig, sim_indices) -> StreamArrays:
     into range by Lemire's multiply-shift (D. Lemire, "Fast Random Integer
     Generation in an Interval", 2019).  The LP schedule's draws follow
     the stream.  A stream in which Lemire's method would reject a draw
-    (and draw again) is generated by ``generate_stream`` instead, as is
-    every stream when the delay span exceeds 32 bits.
+    (and draw again) is generated by ``generate_stream`` instead.  The
+    config envelope keeps the delay span far below 32 bits.
     """
     sims = list(sim_indices)
     n_sims, n, horizon = len(sims), config.n_invoices, config.horizon_days
@@ -374,9 +403,6 @@ def decode_streams(config: ScenarioConfig, sim_indices) -> StreamArrays:
     lead = draws_q + draws_amount  # doubles drawn before the bogus flag
     draws_delay = span > 0  # numpy draws nothing for an empty range
     p_hack = config.hack_probability
-
-    if span > _UINT32_MAX:
-        return _generate_streams(config, sims, lp_on)
 
     n_words = (
         n * (lead + 2)
@@ -446,20 +472,6 @@ def decode_streams(config: ScenarioConfig, sim_indices) -> StreamArrays:
     streams = StreamArrays(q=q, amount=amount, defaults=defaults, delay=delay, deposits=deposits)
     for row in np.flatnonzero(rejected):
         _fill_from_generator(streams, row, config, sims[row])
-    return streams
-
-
-def _generate_streams(config: ScenarioConfig, sims: list[int], lp_on: bool) -> StreamArrays:
-    n_sims, n = len(sims), config.n_invoices
-    streams = StreamArrays(
-        q=np.empty((n_sims, n)),
-        amount=np.empty((n_sims, n)),
-        defaults=np.empty((n_sims, n), dtype=bool),
-        delay=np.empty((n_sims, n), dtype=np.int64),
-        deposits=np.empty((n_sims, config.horizon_days)) if lp_on else None,
-    )
-    for row, sim_index in enumerate(sims):
-        _fill_from_generator(streams, row, config, sim_index)
     return streams
 
 

@@ -127,6 +127,44 @@ class TestSimulate:
         assert code == 2
         assert field in err
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            # a repayment ring of 2**40 days (64 TiB) used to be allocated mid-run
+            {"delay_range_days": [30, 1099511627776], "n_simulations": 2, "n_invoices": 5},
+            # initial funds that overflow to inf used to fail the ledger guard with nan
+            {"initial_collateral": 1e308, "initial_premium": 1e308},
+        ],
+    )
+    def test_config_outside_envelope_exits_2(self, capsys, tmp_path, config):
+        config_path = tmp_path / "huge.json"
+        config_path.write_text(json.dumps(config))
+        code, _, err = run_cli(capsys, "simulate", "--config", str(config_path), "--out", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "config, policy",
+        [
+            (
+                {"initial_collateral": 1e9, "amount_range": None,
+                 "amount_fraction_of_initial": 0.1, "n_simulations": 4},
+                "both",
+            ),
+            ({"initial_collateral": 1e12, "n_simulations": 20}, "both"),
+            # one batch of one simulation runs the scalar loop
+            ({"initial_collateral": 1e10, "n_simulations": 1}, "with"),
+        ],
+    )
+    def test_large_pool_passes_the_ledger_guard(self, capsys, tmp_path, config, policy):
+        config_path = tmp_path / "large.json"
+        config_path.write_text(json.dumps(config))
+        code, _, err = run_cli(
+            capsys, "simulate", "--config", str(config_path), "--policy", policy,
+            "--out", str(tmp_path),
+        )
+        assert (code, err) == (0, "")
+
     def test_single_policy_run(self, capsys, tmp_path):
         code, _, _ = run_cli(
             capsys, "simulate", "--scenario", "5.3", "--sims", "2", "--policy", "without",

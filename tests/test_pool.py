@@ -323,6 +323,14 @@ class TestConservation:
         accept_invoice(pool, make_invoice(q=0.2, amount=5_000.0))
         assert conservation_residual(pool, 100.0) == 0.0
 
+    def test_residual_is_summed_exactly(self):
+        # a float sum rounds 1e16 + 1.0 back to 1e16, and 1e12 + 1e-5 to 1e12
+        pool = PoolState(liquidity=1e16, premium_reserve=1.0)
+        assert conservation_residual(pool, 1e16) == 1.0
+        pool = PoolState(liquidity=1e12)
+        pool._carry["liquidity"] = 1e-5
+        assert conservation_residual(pool, 1e12) == 1e-5
+
 
 def test_premium_quote_is_frozen():
     quote = quote_premium(0.4, 800.0, PoolState(liquidity=1800.0))

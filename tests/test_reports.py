@@ -1,9 +1,13 @@
 """Tests for metric/time-series exports and the policy-difference report."""
 
+import dataclasses
 import json
+from decimal import InvalidOperation
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kellypool import (
     ReportBundle,
@@ -22,9 +26,13 @@ from kellypool import (
 )
 from kellypool.engine import BatchResult, DailySeries, SimulationMetrics
 from kellypool.reports import (
+    _FRACTION_SCALE,
+    _MONEY_SCALE,
     METRIC_FIELDS,
     MONEY_FIELDS,
     TIMESERIES_HEADER,
+    _rounded,
+    _rounded_texts,
     diff_report_rows,
     write_diff_rows,
 )
@@ -66,6 +74,54 @@ class TestRounding:
     def test_fraction_at_four_decimals(self):
         assert round_fraction(0.44444444) == 0.4444
         assert round_fraction(0.37895) == 0.379
+
+
+# Values whose decimal repr sits on or next to a rounding half, for both scales.
+TIE_CASES = (
+    [0.005, -0.005, 2.675, -1.005, 303.155, 123456.785, -0.0, -0.001, 1e-9, 2**50 / 100,
+     2**50 / 10_000, 0.37895, -0.00005, 1e8 + 0.005, 0.0, 1e-300, 5e-324]
+    + [k / 1_000 for k in range(-3_000, 3_001)]  # exactly 3 decimals
+    + [k / 100_000 for k in range(-3_000, 3_001)]  # exactly 5 decimals
+)
+SCALES = [(_MONEY_SCALE, round_money), (_FRACTION_SCALE, round_fraction)]
+
+
+def _outcome(compute):
+    """What ``compute`` returns, or the error it raises (Decimal refuses above 28 digits)."""
+    try:
+        return compute()
+    except InvalidOperation:
+        return "InvalidOperation"
+
+
+class TestWholeArrayRounding:
+    def test_tie_cases(self):
+        # one column mixes values rounded in whole-array form and by the reference
+        for scale, reference in SCALES:
+            expected = [repr(reference(x)) for x in TIE_CASES]
+            assert _rounded_texts(np.array(TIE_CASES)[:, None], scale)[0] == expected
+            assert list(map(repr, _rounded(TIE_CASES, scale))) == expected
+
+    def test_scale_per_column(self):
+        table = np.array([[2.675, 0.37895], [-0.001, -0.00005]])
+        scales = np.array([_MONEY_SCALE, _FRACTION_SCALE])
+        assert _rounded_texts(table, scales) == [["2.68", "-0.0"], ["0.379", "-0.0001"]]
+        assert _rounded(table, scales) == [[2.68, 0.379], [-0.0, -0.0001]]
+
+    @settings(max_examples=500)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_any_float(self, x):
+        for scale, reference in SCALES:
+            expected = _outcome(lambda: repr(reference(x)))
+            assert _outcome(lambda: _rounded_texts([[x]], scale)[0][0]) == expected
+            assert _outcome(lambda: repr(_rounded([x], scale)[0])) == expected
+
+    @given(st.lists(st.floats(min_value=-1e12, max_value=1e12), min_size=1, max_size=40))
+    def test_any_column(self, values):
+        for scale, reference in SCALES:
+            expected = [repr(reference(x)) for x in values]
+            assert _rounded_texts(np.array(values)[:, None], scale)[0] == expected
+            assert list(map(repr, _rounded(values, scale))) == expected
 
 
 class TestMetricsExports:
@@ -134,6 +190,16 @@ class TestTimeseriesExport:
         assert all(b >= a for a, b in zip(withdrawn, withdrawn[1:]))
         assert withdrawn[-1] > 0.0
 
+    def test_negative_value_rounding_to_zero_writes_minus_zero(self, tmp_path):
+        batch = _stub_batch(0.0)
+        series = DailySeries(
+            np.array([-0.001, 0.0, 1.005]), np.zeros(3), np.array([-0.001, 0.0, 1.005]),
+            np.zeros(3),
+        )
+        batch = BatchResult(batch.config, batch.metrics, series, batch.per_run)
+        lines = write_timeseries_csv(batch, tmp_path / "ts.csv").read_text().splitlines()
+        assert lines[1:] == ["0,-0.0,0.0,-0.0,0.0", "1,0.0,0.0,0.0,0.0", "2,1.01,0.0,1.01,0.0"]
+
     def test_volume_is_liquidity_plus_premium(self, paired_bundle, tmp_path):
         path = write_timeseries_csv(paired_bundle.withdrawal, tmp_path / "ts.csv")
         for line in path.read_text().splitlines()[1:]:
@@ -147,6 +213,38 @@ class TestRunsExport:
         lines = path.read_text().splitlines()
         assert lines[0].split(",")[:2] == ["sim_index", "n_simulations"]
         assert len(lines) == 1 + 4
+
+
+class TestIntegerFields:
+    """A metric that holds the int 0 (nothing accepted) is written as 0, a float as 0.0."""
+
+    @pytest.fixture
+    def bundle(self):
+        batch = _stub_batch(0.0)
+        metrics = dataclasses.replace(batch.metrics, total_collateral_covered=0, avg_loss=0)
+        batch = BatchResult(batch.config, metrics, batch.mean_series, (metrics,))
+        return ReportBundle(scenario_id="stub", config=batch.config,
+                            no_withdrawal=batch, withdrawal=batch)
+
+    def test_metrics_json_keeps_int_zero(self, bundle, tmp_path):
+        export_bundle(bundle, tmp_path)
+        text = (tmp_path / "metrics.json").read_text()
+        assert '"total_collateral_covered": 0,' in text
+        assert '"remaining_premium": 0.0,' in text
+        record = json.loads(text)["metrics"]["withdrawal"]
+        assert type(record["total_collateral_covered"]) is int
+        assert type(record["avg_loss"]) is int
+        assert type(record["avg_accepted"]) is float
+
+    def test_csv_files_keep_int_zero(self, bundle, tmp_path):
+        export_bundle(bundle, tmp_path)
+        runs = (tmp_path / "runs_withdrawal.csv").read_text().splitlines()
+        row = dict(zip(runs[0].split(","), runs[1].split(",")))
+        assert row["total_collateral_covered"] == "0"
+        assert row["avg_loss"] == "0"
+        assert row["avg_accepted"] == "0.0"
+        metrics = (tmp_path / "metrics.csv").read_text()
+        assert "\ntotal_collateral_covered,0,0,0.0\n" in metrics
 
 
 class TestExportBundle:
