@@ -20,12 +20,15 @@ operations in the same order, so every lane ends bit-identical to the
 scalar loop.  Batches that differ only in their withdrawal settings
 share one decoded stream per simulation, and series sums are reduced in
 simulation order, so a batch's result does not depend on which other
-batches ran beside it.
+batches ran beside it.  A pass steps batches of different horizons to
+the longest one; a lane gets no events past its own horizon, so its
+state stays as it ended there and its series is cut there.  A batch of
+more lanes than the pass budget runs in passes of consecutive
+simulations, each carrying the series sums of the ones before it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, fields
 from typing import Sequence
@@ -291,82 +294,102 @@ def run_batches(configs: Sequence[ScenarioConfig]) -> list[BatchResult]:
     Configs that differ only in ``scenario_id`` or in withdrawal settings
     share one decoded stream per simulation, and the no-withdrawal batch
     is simulated once whatever its withdrawal period.  Lanes run in
-    passes of one horizon and simulation count, at most ``_LANE_BUDGET``
-    lanes each; a pass of a single lane runs ``run_simulation``.  Each
-    ``BatchResult`` keeps its own config.
+    passes of one simulation count, at most ``_LANE_BUDGET`` lanes each;
+    a pass mixes horizons, and a batch of more lanes than the budget runs
+    in passes of consecutive simulations.  A pass of a single lane runs
+    ``run_simulation``.  Each ``BatchResult`` keeps its own config.
     """
     requests: dict[tuple, list[int]] = {}
     for index, config in enumerate(configs):
         requests.setdefault(_lane_key(config), []).append(index)
+    # the first config requested under a key stands for its group
+    groups = {key: configs[indices[0]] for key, indices in requests.items()}
+    per_run: dict[tuple, list[SimulationMetrics]] = {key: [] for key in groups}
+    sums: dict[tuple, np.ndarray] = {}
+    for keys, sims in _plan_passes(groups):
+        carried = np.stack([sums[key] for key in keys], axis=2) if sims.start else None
+        outputs = _run_pass([groups[key] for key in keys], sims, carried)
+        for key, (runs, series_sums) in zip(keys, outputs):
+            per_run[key].extend(runs)
+            sums[key] = series_sums
     results: list[BatchResult | None] = [None] * len(configs)
-    for group_keys in _plan_passes(list(requests)):
-        for key, (per_run, mean_series) in zip(group_keys, _run_pass(group_keys)):
-            metrics = _mean_metrics(per_run)
-            for index in requests[key]:
-                results[index] = BatchResult(configs[index], metrics, mean_series, per_run)
+    names = [f.name for f in fields(DailySeries)]
+    for key, indices in requests.items():
+        runs = tuple(per_run[key])
+        metrics = _mean_metrics(runs)
+        mean_series = DailySeries(
+            **{name: sums[key][:, row] / len(runs) for row, name in enumerate(names)}
+        )
+        for index in indices:
+            results[index] = BatchResult(configs[index], metrics, mean_series, runs)
     return results
 
 
-# Withdrawal settings of a stream key: neutral values, since streams do
-# not depend on them.
-_NO_WITHDRAWAL = {
-    "scenario_id": "",
-    "withdrawal_enabled": False,
-    "withdrawal_period_days": 30,
-    "withdrawal_fraction": 0.5,
-}
+# Fields that set a simulation's stream and ledger apart from its
+# withdrawal policy; ``scenario_id`` only names the batch.
+_STREAM_FIELDS = tuple(
+    f.name for f in fields(ScenarioConfig)
+    if f.name not in ("scenario_id", "withdrawal_enabled", "withdrawal_period_days",
+                      "withdrawal_fraction")
+)
 
 
-def _lane_key(config: ScenarioConfig) -> tuple[ScenarioConfig, tuple[int, float] | None]:
-    """(stream key, withdrawal policy): equal keys give equal batches."""
+def _lane_key(config: ScenarioConfig) -> tuple[tuple, tuple[int, float] | None]:
+    """(stream fields, withdrawal policy): equal keys give equal batches."""
     policy = None
     if config.withdrawal_enabled:
         policy = (config.withdrawal_period_days, config.withdrawal_fraction)
-    return dataclasses.replace(config, **_NO_WITHDRAWAL), policy
+    return tuple(getattr(config, name) for name in _STREAM_FIELDS), policy
 
 
-def _group_config(key: tuple[ScenarioConfig, tuple[int, float] | None]) -> ScenarioConfig:
-    stream_config, policy = key
-    if policy is None:
-        return stream_config
-    period, fraction = policy
-    return dataclasses.replace(
-        stream_config,
-        withdrawal_enabled=True,
-        withdrawal_period_days=period,
-        withdrawal_fraction=fraction,
-    )
-
-
-def _plan_passes(keys: list[tuple]) -> list[list[tuple]]:
-    """Batch groups in passes of one horizon and simulation count.
+def _plan_passes(groups: dict[tuple, ScenarioConfig]) -> list[tuple[list[tuple], range]]:
+    """Batch groups in passes of one simulation count: (lane keys, simulations).
 
     Groups that share a stream stay in one pass, so each stream is
-    decoded once; passes fill up to the lane budget.
+    decoded once (a stream with more groups than the budget is split
+    into chunks of that many).  Streams are taken in horizon order, so
+    the lanes of a pass end close together, and passes fill up to the
+    lane budget.  The groups of a stream that exceed the budget alone
+    run in passes of consecutive simulations.
     """
-    buckets: dict[tuple[int, int], dict[ScenarioConfig, list[tuple]]] = {}
-    for key in keys:
-        stream_config = key[0]
-        shape = (stream_config.horizon_days, stream_config.n_simulations)
-        buckets.setdefault(shape, {}).setdefault(stream_config, []).append(key)
+    streams: dict[tuple, list[tuple]] = {}
+    for key in groups:
+        streams.setdefault(key[0], []).append(key)
+    buckets: dict[int, list[list[tuple]]] = {}
+    for keys in sorted(streams.values(), key=lambda keys: groups[keys[0]].horizon_days):
+        for start in range(0, len(keys), _LANE_BUDGET):
+            buckets.setdefault(groups[keys[0]].n_simulations, []).append(
+                keys[start:start + _LANE_BUDGET]
+            )
     passes = []
-    for (_, n_sims), units in buckets.items():
+    for n_sims, bucket in buckets.items():
         current: list[tuple] = []
-        for unit in units.values():
+        for unit in bucket:
+            if n_sims * len(unit) > _LANE_BUDGET:
+                step = _LANE_BUDGET // len(unit)
+                passes.extend(
+                    (unit, range(start, min(start + step, n_sims)))
+                    for start in range(0, n_sims, step)
+                )
+                continue
             if current and n_sims * (len(current) + len(unit)) > _LANE_BUDGET:
-                passes.append(current)
+                passes.append((current, range(n_sims)))
                 current = []
             current.extend(unit)
-        passes.append(current)
+        if current:
+            passes.append((current, range(n_sims)))
     return passes
 
 
-def _run_pass(keys: list[tuple]) -> list[tuple[tuple[SimulationMetrics, ...], DailySeries]]:
-    """Per batch group of one pass: per-run metrics and mean daily series."""
-    if len(keys) == 1 and keys[0][0].n_simulations == 1:
-        result = run_simulation(_group_config(keys[0]), 0)
-        return [((result.metrics,), DailySeries.mean([result.series]))]
-    return _run_lanes(keys)
+def _run_pass(
+    configs: list[ScenarioConfig], sims: range, carried: np.ndarray | None
+) -> list[tuple[tuple[SimulationMetrics, ...], np.ndarray]]:
+    """Per batch group of one pass: per-run metrics and day-wise series sums."""
+    if len(configs) == 1 and configs[0].n_simulations == 1:
+        result = run_simulation(configs[0], 0)
+        series = np.stack([getattr(result.series, f.name) for f in fields(DailySeries)], axis=1)
+        return [((result.metrics,), series)]
+    return _run_lanes(configs, sims, carried)
 
 
 # Rows of the lane ledger.  The order makes every set of accumulators
@@ -389,27 +412,35 @@ def _two_sum(value: np.ndarray, carry: np.ndarray, delta: np.ndarray) -> None:
     value[...] = total
 
 
-def _run_lanes(keys: list[tuple]) -> list[tuple[tuple[SimulationMetrics, ...], DailySeries]]:
-    """Step every simulation of the given batch groups through the days at once.
+def _run_lanes(
+    group_configs: list[ScenarioConfig], sims: range, carried: np.ndarray | None
+) -> list[tuple[tuple[SimulationMetrics, ...], np.ndarray]]:
+    """Step the given simulations of the given batch groups through the days at once.
 
-    Lane ``k * n_groups + g`` is simulation ``k`` of group ``g``, so a
+    Lane ``k * n_groups + g`` is the k-th simulation of group ``g``, so a
     group's lanes in simulation order are one column of a
     ``(n_sims, n_groups)`` view.  Each day repeats ``run_simulation``'s
     float operations in its order, per lane, and checks the conservation
-    identity of every lane.
+    identity of every lane.  The pass runs to its longest horizon; a lane
+    whose horizon comes earlier gets no events from that day on, so its
+    state stays as it ended.  ``carried`` holds each group's series sums
+    over the simulations before ``sims``, as this function returns them.
     """
-    group_configs = [_group_config(key) for key in keys]
-    stream_configs = list(dict.fromkeys(key[0] for key in keys))
-    n_sims = stream_configs[0].n_simulations
-    horizon = stream_configs[0].horizon_days
-    n_groups = len(keys)
+    streams = [_lane_key(config)[0] for config in group_configs]
+    first_config: dict[tuple, ScenarioConfig] = {}
+    for stream, config in zip(streams, group_configs):
+        first_config.setdefault(stream, config)
+    unit_of = {stream: unit for unit, stream in enumerate(first_config)}
+    stream_configs = list(first_config.values())
+    n_sims = len(sims)
+    horizon = max(config.horizon_days for config in stream_configs)
+    n_groups = len(group_configs)
     n_lanes = n_sims * n_groups
 
     q_table, amount_table, due_table, repays_table, deposit_table = _invoice_tables(
-        stream_configs, n_sims, horizon
+        stream_configs, sims, horizon
     )
-    unit_of = {config: unit for unit, config in enumerate(stream_configs)}
-    group_unit = np.array([unit_of[key[0]] for key in keys])
+    group_unit = np.array([unit_of[stream] for stream in streams])
     lane_column = (group_unit[None, :] * n_sims + np.arange(n_sims)[:, None]).ravel()
 
     def per_lane(values, dtype=np.float64) -> np.ndarray:
@@ -426,6 +457,8 @@ def _run_lanes(keys: list[tuple]) -> list[tuple[tuple[SimulationMetrics, ...], D
     fraction = per_lane([c.withdrawal_fraction if c.withdrawal_enabled else 0.0 for c in group_configs])
     periods = sorted({c.withdrawal_period_days for c in group_configs if c.withdrawal_enabled})
     fractions_on: dict[tuple[int, ...], np.ndarray] = {}
+    lane_horizon = per_lane([c.horizon_days for c in group_configs], np.int64)
+    early_ends = {c.horizon_days for c in group_configs} - {horizon}
 
     ledger = np.zeros((6, n_lanes))
     ledger[_LIQ] = initial_funds[0]
@@ -457,6 +490,8 @@ def _run_lanes(keys: list[tuple]) -> list[tuple[tuple[SimulationMetrics, ...], D
             snapshot_lanes[1] = premium
             np.add(liquidity, premium, out=snapshot_lanes[2])
             snapshot_lanes[3] = ledger[_WITHDRAWN]
+            if carried is not None:
+                snapshot[:, 0] += carried[day]
             np.add.accumulate(snapshot, axis=1, out=running)
             series_sums[day] = running[:, -1]
 
@@ -516,6 +551,10 @@ def _run_lanes(keys: list[tuple]) -> list[tuple[tuple[SimulationMetrics, ...], D
                         due_amounts[slots, position, lanes] = demanded[lanes]
                         due_count[slots, lanes] += 1
 
+            if day in early_ends:
+                # lanes past their horizon withdraw no more
+                period[lane_horizon == day] = 0
+                fractions_on.clear()
             if day > 0:
                 dividing = tuple(p for p in periods if day % p == 0)
                 if dividing:
@@ -540,12 +579,13 @@ def _run_lanes(keys: list[tuple]) -> list[tuple[tuple[SimulationMetrics, ...], D
                 if not exact[worst] <= _CONSERVATION_GUARD:
                     lane = int(lanes[worst])
                     raise LedgerError(
-                        f"conservation violated on day {day} in simulation {lane // n_groups} "
-                        f"of batch {keys[lane % n_groups]}: residual {exact[worst]}"
+                        f"conservation violated on day {day} in simulation "
+                        f"{sims[lane // n_groups]} of batch "
+                        f"{group_configs[lane % n_groups].scenario_id!r}: residual {exact[worst]}"
                     )
 
     return _reduce_lanes(
-        group_configs, n_sims, series_sums,
+        group_configs, series_sums,
         n_accepted, n_paid, covered, loss,
         liquidity + premium, ledger[_WITHDRAWN], premium,
     )
@@ -562,14 +602,17 @@ def _exact_residuals(
     return np.abs([math.fsum(column) for column in terms[:, lanes].T.tolist()])
 
 
-def _invoice_tables(stream_configs: list[ScenarioConfig], n_sims: int, horizon: int):
+def _invoice_tables(stream_configs: list[ScenarioConfig], sims: range, horizon: int):
     """Decoded streams as tables with one row per day and one column per stream.
 
-    Column ``u * n_sims + k`` is simulation ``k`` of ``stream_configs[u]``.
-    Invoice i arrives on day i, so once accepted it is due on day
-    i + delay; ``repays`` marks the invoices that then come back within
-    the horizon.  The deposit table is None when no stream has deposits.
+    Column ``u * len(sims) + k`` is simulation ``sims[k]`` of
+    ``stream_configs[u]``.  Invoice i arrives on day i, so once accepted
+    it is due on day i + delay; ``repays`` marks the invoices that then
+    come back within their stream's horizon.  Deposits are zero past a
+    stream's horizon, up to the pass's ``horizon``; the deposit table is
+    None when no stream has deposits.
     """
+    n_sims = len(sims)
     n_rows = max(config.n_invoices for config in stream_configs)
     n_columns = n_sims * len(stream_configs)
     q = np.zeros((n_rows, n_columns))
@@ -578,25 +621,25 @@ def _invoice_tables(stream_configs: list[ScenarioConfig], n_sims: int, horizon: 
     repays = np.zeros((n_rows, n_columns), dtype=bool)
     deposits = None
     for unit, config in enumerate(stream_configs):
-        stream = decode_streams(config, range(n_sims))
+        stream = decode_streams(config, sims)
         columns = slice(unit * n_sims, (unit + 1) * n_sims)
         n = config.n_invoices
         q[:n, columns] = stream.q.T
         amount[:n, columns] = stream.amount.T
         due[:n, columns] = np.arange(n)[:, None] + stream.delay.T
-        repays[:n, columns] = ~stream.defaults.T & (due[:n, columns] < horizon)
+        repays[:n, columns] = ~stream.defaults.T & (due[:n, columns] < config.horizon_days)
         if stream.deposits is not None:
             if deposits is None:
                 deposits = np.zeros((horizon, n_columns))
-            deposits[:, columns] = stream.deposits.T
+            deposits[: config.horizon_days, columns] = stream.deposits.T
     return q, amount, due, repays, deposits
 
 
 def _reduce_lanes(
-    group_configs, n_sims, series_sums,
+    group_configs, series_sums,
     n_accepted, n_paid, covered, loss, volume, withdrawn, premium,
-) -> list[tuple[tuple[SimulationMetrics, ...], DailySeries]]:
-    """Per-run metrics and mean series of every group from the final lane state."""
+) -> list[tuple[tuple[SimulationMetrics, ...], np.ndarray]]:
+    """Per-run metrics and series sums of every group, each cut at its own horizon."""
     n_groups = len(group_configs)
     columns = zip(
         n_accepted.tolist(), n_paid.tolist(), covered.tolist(),
@@ -617,13 +660,9 @@ def _reduce_lanes(
         for lane, (accepted, paid, covered_sum, loss_sum,
                    final_volume, final_withdrawn, final_premium) in enumerate(columns)
     ]
-    names = [f.name for f in fields(DailySeries)]
     return [
-        (
-            tuple(per_lane[group::n_groups]),
-            DailySeries(**{name: series_sums[:, i, group] / n_sims for i, name in enumerate(names)}),
-        )
-        for group in range(n_groups)
+        (tuple(per_lane[group::n_groups]), series_sums[: config.horizon_days, :, group])
+        for group, config in enumerate(group_configs)
     ]
 
 

@@ -209,6 +209,13 @@ def sweep_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def sweep_seed4_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("sweep_seed4")
+    assert main(["sweep", "--sims", "2", "--out", str(out), "--seed", "4"]) == 0
+    return out
+
+
 class TestSweep:
     def test_covers_grid(self, sweep_dir, capsys):
         cells = [p for p in sweep_dir.iterdir() if p.is_dir()]
@@ -220,6 +227,21 @@ class TestSweep:
         lines = (sweep_dir / "diff_report.csv").read_text().splitlines()
         assert lines[1].startswith("scenario_id,withdrawal_period_days")
         assert len(lines) == 2 + 75
+
+    @pytest.mark.parametrize("scenario_id,period", [("3.1", 1), ("3.2", 90)])
+    def test_short_horizon_cell_equals_simulate(
+        self, sweep_seed4_dir, capsys, tmp_path, scenario_id, period
+    ):
+        # the sweep steps these 590- and 620-day batches beside 650-day ones
+        code = main(["simulate", "--scenario", scenario_id, "--withdraw-period", str(period),
+                     "--sims", "2", "--seed", "4", "--out", str(tmp_path)])
+        assert code == 0
+        swept = sweep_seed4_dir / f"{scenario_id}_p{period}"
+        alone = tmp_path / swept.name
+        names = sorted(path.name for path in swept.iterdir())
+        assert names == sorted(path.name for path in alone.iterdir())
+        for name in names:
+            assert (swept / name).read_bytes() == (alone / name).read_bytes(), name
 
     def test_rerun_skips_completed_cells(self, sweep_dir, capsys):
         code = main(["sweep", "--sims", "2", "--out", str(sweep_dir), "--seed", "3"])

@@ -7,6 +7,8 @@ import pytest
 
 from kellypool import (
     PRESET_IDS,
+    SWEEP_IDS,
+    WITHDRAWAL_PERIODS,
     Invoice,
     PoolState,
     PremiumQuote,
@@ -20,6 +22,7 @@ from kellypool import (
     run_simulation,
     scenario_preset,
 )
+from kellypool import engine
 from kellypool.engine import (
     BatchResult,
     DailySeries,
@@ -301,6 +304,69 @@ def test_lanes_equal_scalar_loop(scenario_id):
         ]
         for config, result in zip(configs, run_batches(configs)):
             assert_same_batch(result, scalar_batch(config))
+
+
+def sweep_batch_configs(n_simulations):
+    """The batch configs of the 75-cell sweep, both policies, in the CLI's order."""
+    return [
+        scenario_preset(scenario_id, n_simulations=n_simulations, withdrawal_period_days=period)
+        .replace(withdrawal_enabled=enabled)
+        for scenario_id in SWEEP_IDS
+        for period in WITHDRAWAL_PERIODS
+        for enabled in (False, True)
+    ]
+
+
+@pytest.mark.parametrize("n_simulations,n_passes", [(2, 1), (100, 5)])
+def test_sweep_horizons_share_passes(n_simulations, n_passes):
+    configs = sweep_batch_configs(n_simulations)
+    groups = {}
+    for config in configs:
+        groups.setdefault(engine._lane_key(config), config)
+    assert (len(configs), len(groups)) == (150, 100)
+    passes = engine._plan_passes(groups)
+    assert len(passes) == n_passes
+    assert all(len(keys) * len(sims) <= engine._LANE_BUDGET for keys, sims in passes)
+    # every simulation of every group runs exactly once
+    planned = [(key, sim) for keys, sims in passes for key in keys for sim in sims]
+    assert len(planned) == len(set(planned))
+    assert set(planned) == {(key, sim) for key in groups for sim in range(n_simulations)}
+
+
+def large_batches():
+    base = scenario_preset("2.3", n_simulations=10, seed=6)
+    return [base, base.replace(withdrawal_enabled=True, withdrawal_period_days=1),
+            scenario_preset("3.2", n_simulations=10, seed=6)]
+
+
+def many_policies():
+    base = scenario_preset("2.3", n_simulations=2, n_invoices=40, seed=6)
+    return [base] + [
+        base.replace(withdrawal_enabled=True, withdrawal_period_days=period,
+                     withdrawal_fraction=fraction)
+        for period in (1, 30) for fraction in (0.25, 0.5)
+    ]
+
+
+@pytest.mark.parametrize("make_configs", [large_batches, many_policies])
+def test_lane_budget_bounds_every_pass(monkeypatch, make_configs):
+    # a batch of more lanes than the budget runs in passes of consecutive
+    # simulations, carrying the series sums from one pass to the next; a
+    # stream with more policies than the budget is decoded once per pass
+    monkeypatch.setattr(engine, "_LANE_BUDGET", 4)
+    stepped = []
+    original = engine._run_lanes
+
+    def counting(configs, sims, carried):
+        stepped.append(len(configs) * len(sims))
+        return original(configs, sims, carried)
+
+    monkeypatch.setattr(engine, "_run_lanes", counting)
+    configs = make_configs()
+    for config, result in zip(configs, run_batches(configs)):
+        assert_same_batch(result, scalar_batch(config))
+    assert max(stepped) <= 4
+    assert sum(stepped) == sum(config.n_simulations for config in configs)
 
 
 def test_flagged_invoices_never_repay_on_long_horizons():
