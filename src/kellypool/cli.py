@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -78,9 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--policy", choices=("both", "with", "without"), default="both",
                          help="run withdrawal and/or no-withdrawal batches (default both)")
         cmd.add_argument("--out", default="results", help="output directory (default results/)")
-        cmd.add_argument("--format", choices=("json", "csv", "both"), default="both",
-                         help="metrics file format (default both); metrics.json, "
-                              "which resume and the diff report read, is always written")
         cmd.add_argument("--verbose", action="store_true",
                          help="print simulation and per-cell export timing")
         cmd.set_defaults(func=cmd_simulate if name == "simulate" else cmd_sweep)
@@ -100,6 +98,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def cmd_quote(args: argparse.Namespace) -> int:
+    for flag in ("q", "amount", "liquidity", "premium"):
+        value = getattr(args, flag)
+        if not math.isfinite(value):
+            raise ConfigError(f"--{flag} must be a finite number, got {value}")
     pool = PoolState(liquidity=args.liquidity, premium_reserve=args.premium)
     try:
         quote = quote_premium(args.q, args.amount, pool)
@@ -179,7 +181,7 @@ def _export_cells(
         config = _recorded_config(batch_configs)
         results = {name: next(batches) for name in batch_configs}
         bundle = ReportBundle(scenario_id=config.scenario_id, config=config, **results)
-        export_bundle(bundle, cell_dir, csv=args.format != "json")
+        export_bundle(bundle, cell_dir)
         yield cell_dir, bundle, time.perf_counter() - started
 
 

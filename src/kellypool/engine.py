@@ -453,12 +453,10 @@ def _run_lanes(
         per_lane([c.initial_premium for c in group_configs]),
     ])
     entered_initially = initial_funds[0] + initial_funds[1]
-    period = per_lane([c.withdrawal_period_days if c.withdrawal_enabled else 0 for c in group_configs], np.int64)
+    period = per_lane([c.withdrawal_period_days for c in group_configs], np.int64)
     fraction = per_lane([c.withdrawal_fraction if c.withdrawal_enabled else 0.0 for c in group_configs])
-    periods = sorted({c.withdrawal_period_days for c in group_configs if c.withdrawal_enabled})
-    fractions_on: dict[tuple[int, ...], np.ndarray] = {}
+    periods = {c.withdrawal_period_days for c in group_configs if c.withdrawal_enabled}
     lane_horizon = per_lane([c.horizon_days for c in group_configs], np.int64)
-    early_ends = {c.horizon_days for c in group_configs} - {horizon}
 
     ledger = np.zeros((6, n_lanes))
     ledger[_LIQ] = initial_funds[0]
@@ -551,21 +549,13 @@ def _run_lanes(
                         due_amounts[slots, position, lanes] = demanded[lanes]
                         due_count[slots, lanes] += 1
 
-            if day in early_ends:
-                # lanes past their horizon withdraw no more
-                period[lane_horizon == day] = 0
-                fractions_on.clear()
-            if day > 0:
-                dividing = tuple(p for p in periods if day % p == 0)
-                if dividing:
-                    today = fractions_on.get(dividing)
-                    if today is None:
-                        today = np.where(np.isin(period, dividing), fraction, 0.0)
-                        fractions_on[dividing] = today
-                    withdrawn = today * premium
-                    np.negative(withdrawn, out=pair[0])
-                    pair[1] = withdrawn
-                    _two_sum(ledger[_PREM:_WITHDRAWN + 1], carry[_PREM:_WITHDRAWN + 1], pair)
+            if day > 0 and any(day % p == 0 for p in periods):
+                # a lane off its period, with withdrawal off or past its horizon adds 0.0
+                today = np.where((day % period == 0) & (day < lane_horizon), fraction, 0.0)
+                withdrawn = today * premium
+                np.negative(withdrawn, out=pair[0])
+                pair[1] = withdrawn
+                _two_sum(ledger[_PREM:_WITHDRAWN + 1], carry[_PREM:_WITHDRAWN + 1], pair)
 
             exact = ledger + carry
             held = ((exact[_LIQ] + exact[_PREM]) + exact[_OUT]) + exact[_WITHDRAWN]

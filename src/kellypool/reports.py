@@ -9,9 +9,10 @@ and ``round_fraction`` do it one value at a time through ``Decimal`` and
 are the reference.  The exporters round whole arrays at once
 (``_rounded``, ``_rounded_texts``) to the same floats and the same text.
 The policy-difference column follows ``100 * (withdrawal -
-no_withdrawal) / |no_withdrawal|`` computed from the rounded columns,
-and is left empty when the no-withdrawal value is zero.  All files are
-written atomically (temp file plus rename).
+no_withdrawal) / |no_withdrawal|`` computed from the rounded columns.
+It is left empty only when the no-withdrawal value is zero and the
+withdrawal value is not; when both are zero it is ``0.0``.  All files
+are written atomically (temp file plus rename).
 """
 
 from __future__ import annotations
@@ -196,7 +197,8 @@ class ReportBundle:
         return tuple(names)
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: str | Path, text: str) -> Path:
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     handle = tempfile.NamedTemporaryFile(
         "w", encoding="utf-8", newline="", dir=path.parent, delete=False
@@ -211,6 +213,7 @@ def _atomic_write(path: Path, text: str) -> None:
         except OSError:
             pass
         raise
+    return path
 
 
 def metrics_record(bundle: ReportBundle) -> dict:
@@ -241,25 +244,17 @@ def _metric_rows(record: dict) -> Iterator[tuple[str, list]]:
         yield name, [column[name] for column in record["metrics"].values()]
 
 
-def write_metrics_json(bundle: ReportBundle, path: str | Path) -> Path:
-    return _write_metrics_json(metrics_record(bundle), Path(path))
+def write_metrics_json(record: dict, path: str | Path) -> Path:
+    """A metrics record, or the ``config_record`` of ``config.json``, as indented JSON."""
+    return _atomic_write(path, json.dumps(record, indent=2) + "\n")
 
 
-def _write_metrics_json(record: dict, path: Path) -> Path:
-    _atomic_write(path, json.dumps(record, indent=2) + "\n")
-    return path
-
-
-def write_metrics_csv(bundle: ReportBundle, path: str | Path) -> Path:
-    return _write_metrics_csv(metrics_record(bundle), Path(path))
-
-
-def _write_metrics_csv(record: dict, path: Path) -> Path:
+def write_metrics_csv(record: dict, path: str | Path) -> Path:
+    """The metric grid of a metrics record, one row per metric."""
     lines = [f"# difference_pct = {DIFFERENCE_CONVENTION}", "metric," + ",".join(record["metrics"])]
     for name, values in _metric_rows(record):
         lines.append(f"{name}," + ",".join("" if v is None else repr(v) for v in values))
-    _atomic_write(path, "\n".join(lines) + "\n")
-    return path
+    return _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_timeseries_csv(bundle_result: BatchResult, path: str | Path) -> Path:
@@ -272,9 +267,7 @@ def write_timeseries_csv(bundle_result: BatchResult, path: str | Path) -> Path:
     )
     lines = [TIMESERIES_HEADER]
     lines.extend(map(",".join, zip(map(str, range(len(series))), *columns)))
-    path = Path(path)
-    _atomic_write(path, "\n".join(lines) + "\n")
-    return path
+    return _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_runs_csv(bundle_result: BatchResult, path: str | Path) -> Path:
@@ -286,9 +279,7 @@ def write_runs_csv(bundle_result: BatchResult, path: str | Path) -> Path:
     ]
     lines = ["sim_index," + ",".join(METRIC_FIELDS)]
     lines.extend(map(",".join, zip(map(str, range(len(rows))), *columns)))
-    path = Path(path)
-    _atomic_write(path, "\n".join(lines) + "\n")
-    return path
+    return _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def config_record(policies: tuple[str, ...], config: ScenarioConfig) -> dict:
@@ -296,28 +287,22 @@ def config_record(policies: tuple[str, ...], config: ScenarioConfig) -> dict:
     return {"policies": list(policies), "config": config.to_dict()}
 
 
-def write_config_json(bundle: ReportBundle, path: str | Path) -> Path:
-    """Snapshot sufficient to re-run the bundle bit-identically."""
-    record = config_record(bundle.policies, bundle.config)
-    path = Path(path)
-    _atomic_write(path, json.dumps(record, indent=2) + "\n")
-    return path
+def export_bundle(bundle: ReportBundle, directory: str | Path) -> list[Path]:
+    """Write the file set of one scenario cell into ``directory``.
 
-
-def export_bundle(bundle: ReportBundle, directory: str | Path, csv: bool = True) -> list[Path]:
-    """Write the file set for one scenario cell into ``directory``.
-
-    ``metrics.json``, the record that resume and the diff report read, is
-    always written; ``csv`` adds ``metrics.csv``.
+    ``config.json`` (enough to re-run the bundle bit-identically) and
+    ``metrics.json`` are the records that resume and the diff report read;
+    ``metrics.csv`` holds the same metric grid, and each policy adds its
+    ``timeseries_<policy>.csv`` and ``runs_<policy>.csv``.
     """
     directory = Path(directory)
     record = metrics_record(bundle)
+    config = config_record(bundle.policies, bundle.config)
     written = [
-        write_config_json(bundle, directory / "config.json"),
-        _write_metrics_json(record, directory / "metrics.json"),
+        write_metrics_json(config, directory / "config.json"),
+        write_metrics_json(record, directory / "metrics.json"),
+        write_metrics_csv(record, directory / "metrics.csv"),
     ]
-    if csv:
-        written.append(_write_metrics_csv(record, directory / "metrics.csv"))
     for name in bundle.policies:
         result: BatchResult = getattr(bundle, name)
         written.append(write_timeseries_csv(result, directory / f"timeseries_{name}.csv"))
@@ -364,9 +349,7 @@ def write_diff_rows(rows: list[dict], path: str | Path) -> Path:
     for row in rows:
         cells = ["" if row[c] is None else str(row[c]) for c in columns]
         lines.append(",".join(cells))
-    path = Path(path)
-    _atomic_write(path, "\n".join(lines) + "\n")
-    return path
+    return _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def format_summary(bundle: ReportBundle) -> str:

@@ -125,6 +125,8 @@ class ScenarioConfig:
             raise ConfigError("initial_premium must be non-negative")
         if self.n_invoices < 0:
             raise ConfigError("n_invoices must be non-negative")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         lo, hi = self.q_range
         if not (0.0 < lo <= hi < 1.0):
             raise ConfigError(f"q_range must lie inside (0, 1) and be ordered, got {self.q_range}")
@@ -189,9 +191,14 @@ class ScenarioConfig:
             )
 
     def replace(self, **changes) -> "ScenarioConfig":
-        """Copy with fields changed; derived fields are recomputed."""
-        for derived in ("max_entry_days", "horizon_days"):
-            changes.setdefault(derived, None)
+        """Copy with fields changed; ``horizon_days`` is derived again unless given.
+
+        ``max_entry_days`` follows a new ``n_invoices`` only while it still
+        holds its default, the old ``n_invoices``; a custom value is kept.
+        """
+        changes.setdefault("horizon_days", None)
+        if "n_invoices" in changes and self.max_entry_days == self.n_invoices:
+            changes.setdefault("max_entry_days", None)
         return dataclasses.replace(self, **changes)
 
     def to_dict(self) -> dict:

@@ -47,7 +47,13 @@ from kellypool import (
     withdraw_premium,
 )
 from kellypool.cli import main as cli_main
-from kellypool.reports import ReportBundle, write_metrics_json, write_runs_csv, write_timeseries_csv
+from kellypool.reports import (
+    ReportBundle,
+    metrics_record,
+    write_metrics_json,
+    write_runs_csv,
+    write_timeseries_csv,
+)
 from kellypool.scenarios import SWEEP_IDS, WITHDRAWAL_PERIODS
 
 FULL_SIMS = 100
@@ -342,7 +348,7 @@ def test_criterion6c_bitwise_determinism(tmp_path):
     for run in ("first", "second"):
         bundle = ReportBundle.from_comparison(compare_withdrawal(config))
         directory = tmp_path / run
-        write_metrics_json(bundle, directory / "metrics.json")
+        write_metrics_json(metrics_record(bundle), directory / "metrics.json")
         write_timeseries_csv(bundle.withdrawal, directory / "timeseries.csv")
         write_runs_csv(bundle.withdrawal, directory / "runs.csv")
         outputs.append(

@@ -49,6 +49,15 @@ class TestQuote:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--q", "--amount", "--liquidity", "--premium"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_input_exits_2(self, capsys, flag, value):
+        values = {"--q": "0.2", "--amount": "100", "--liquidity": "1000", "--premium": "0"}
+        values[flag] = value
+        code, out, err = run_cli(capsys, "quote", *(f"{k}={v}" for k, v in values.items()))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {flag} must be a finite number")
+
 
 class TestSimulate:
     def test_preset_run_writes_bundle(self, capsys, tmp_path):
@@ -98,6 +107,38 @@ class TestSimulate:
         snapshot = json.loads((tmp_path / "mine_p30" / "config.json").read_text())
         assert snapshot["config"]["n_simulations"] == 4
         assert snapshot["config"]["n_invoices"] == 10
+
+    def test_custom_max_entry_days_is_kept(self, capsys, tmp_path):
+        config_path = tmp_path / "short.json"
+        config_path.write_text(
+            json.dumps({"scenario_id": "short", "max_entry_days": 100, "n_simulations": 2})
+        )
+        code, out, _ = run_cli(
+            capsys, "simulate", "--config", str(config_path), "--out", str(tmp_path),
+        )
+        assert code == 0
+        horizon_row = next(line for line in out.splitlines() if line.startswith("horizon_days"))
+        assert horizon_row.split()[1:3] == ["250", "250"]
+        cell = tmp_path / "short_p30"
+        snapshot = json.loads((cell / "config.json").read_text())
+        record = json.loads((cell / "metrics.json").read_text())
+        for config in (snapshot["config"], record["config"]):
+            assert (config["max_entry_days"], config["horizon_days"]) == (100, 250)
+        for name in ("no_withdrawal", "withdrawal"):
+            assert record["metrics"][name]["horizon_days"] == 250
+            assert record["metrics"][name]["avg_accepted"] <= 100
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_exits_2(self, capsys, tmp_path, source):
+        if source == "flag":
+            argv = ["--scenario", "2.3", "--seed", "-1"]
+        else:
+            config_path = tmp_path / "seeded.json"
+            config_path.write_text(json.dumps({"seed": -5, "n_simulations": 1}))
+            argv = ["--config", str(config_path)]
+        code, _, err = run_cli(capsys, "simulate", *argv, "--out", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: seed must be non-negative")
 
     def test_bad_config_file_exits_2(self, capsys, tmp_path):
         config_path = tmp_path / "bad.json"
@@ -177,14 +218,6 @@ class TestSimulate:
         record = json.loads((cell / "metrics.json").read_text())
         assert record["policies"] == ["no_withdrawal"]
 
-    def test_json_only_format(self, capsys, tmp_path):
-        code, _, _ = run_cli(
-            capsys, "simulate", "--scenario", "5.3", "--sims", "2", "--format", "json",
-            "--out", str(tmp_path),
-        )
-        assert code == 0
-        assert not (tmp_path / "5.3_p30" / "metrics.csv").exists()
-
     def test_unwritable_output_exits_3(self, capsys, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
@@ -199,6 +232,11 @@ class TestSimulate:
         with pytest.raises(SystemExit) as excinfo:
             main(["simulate", "--scenario", "5.3", "--withdraw-period", "7"])
         assert excinfo.value.code == 2
+        # every cell writes one file set; there is no --format to choose it
+        for command in (["simulate", "--scenario", "5.3"], ["sweep"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main([*command, "--format", "json", "--out", str(tmp_path)])
+            assert excinfo.value.code == 2
 
 
 @pytest.fixture(scope="module")
@@ -278,12 +316,12 @@ class TestSweep:
         assert (tmp_path / "2.3_p30" / "timeseries_no_withdrawal.csv").exists()
 
     def test_csv_format_resumes_and_writes_diff_report(self, capsys, tmp_path):
-        assert main(["sweep", "--sims", "1", "--format", "csv", "--out", str(tmp_path)]) == 0
+        assert main(["sweep", "--sims", "1", "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "diff_report.csv").read_text().splitlines()
         assert len(lines) == 2 + 75
         assert (tmp_path / "2.3_p30" / "metrics.csv").exists()
         capsys.readouterr()
-        assert main(["sweep", "--sims", "1", "--format", "csv", "--out", str(tmp_path)]) == 0
+        assert main(["sweep", "--sims", "1", "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().out.count("skipping") == 75
 
     def test_period_is_not_a_sweep_flag(self, capsys, tmp_path):

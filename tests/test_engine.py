@@ -251,6 +251,14 @@ class TestCompareWithdrawal:
         # same seed: both policies price the same invoice streams
         assert comparison.no_withdrawal.config.seed == comparison.withdrawal.config.seed
 
+    def test_custom_max_entry_days_reaches_both_batches(self):
+        config = ScenarioConfig(max_entry_days=100, n_simulations=2)
+        comparison = compare_withdrawal(config)
+        for batch in (comparison.no_withdrawal, comparison.withdrawal):
+            assert (batch.config.max_entry_days, batch.config.horizon_days) == (100, 250)
+            assert batch.metrics.horizon_days == 250
+            assert batch.metrics.avg_accepted <= 100
+
     def test_no_invoices_gives_undefined_difference(self):
         config = ScenarioConfig(n_invoices=0, n_simulations=2)
         comparison = compare_withdrawal(config)

@@ -15,6 +15,7 @@ from kellypool import (
     compare_withdrawal,
     export_bundle,
     format_summary,
+    metrics_record,
     round_fraction,
     round_money,
     run_batch,
@@ -126,7 +127,7 @@ class TestWholeArrayRounding:
 
 class TestMetricsExports:
     def test_json_structure_paired(self, paired_bundle, tmp_path):
-        path = write_metrics_json(paired_bundle, tmp_path / "metrics.json")
+        path = write_metrics_json(metrics_record(paired_bundle), tmp_path / "metrics.json")
         record = json.loads(path.read_text())
         assert record["scenario_id"] == "5.3"
         assert record["policies"] == ["no_withdrawal", "withdrawal"]
@@ -137,13 +138,15 @@ class TestMetricsExports:
         assert record["config"]["seed"] == 31
 
     def test_single_policy_omits_difference(self, single_bundle, tmp_path):
-        record = json.loads(write_metrics_json(single_bundle, tmp_path / "m.json").read_text())
+        path = write_metrics_json(metrics_record(single_bundle), tmp_path / "m.json")
+        record = json.loads(path.read_text())
         assert record["policies"] == ["no_withdrawal"]
         assert "difference_pct" not in record["metrics"]
         assert "withdrawal" not in record["metrics"]
 
     def test_round_trip_at_reporting_precision(self, paired_bundle, tmp_path):
-        record = json.loads(write_metrics_json(paired_bundle, tmp_path / "m.json").read_text())
+        path = write_metrics_json(metrics_record(paired_bundle), tmp_path / "m.json")
+        record = json.loads(path.read_text())
         metrics = paired_bundle.withdrawal.metrics
         for name in METRIC_FIELDS:
             stored = record["metrics"]["withdrawal"][name]
@@ -152,8 +155,9 @@ class TestMetricsExports:
             assert stored == pytest.approx(truth, abs=tolerance)
 
     def test_csv_matches_json(self, paired_bundle, tmp_path):
-        json_record = json.loads(write_metrics_json(paired_bundle, tmp_path / "m.json").read_text())
-        rows = read_metrics_csv(write_metrics_csv(paired_bundle, tmp_path / "m.csv"))
+        record = metrics_record(paired_bundle)
+        json_record = json.loads(write_metrics_json(record, tmp_path / "m.json").read_text())
+        rows = read_metrics_csv(write_metrics_csv(record, tmp_path / "m.csv"))
         for name in METRIC_FIELDS:
             for column in ("no_withdrawal", "withdrawal", "difference_pct"):
                 assert rows[name][column] == pytest.approx(
@@ -161,7 +165,8 @@ class TestMetricsExports:
                 ) or (rows[name][column] is None and json_record["metrics"][column][name] is None)
 
     def test_difference_recomputable_from_columns(self, paired_bundle, tmp_path):
-        rows = read_metrics_csv(write_metrics_csv(paired_bundle, tmp_path / "m.csv"))
+        path = write_metrics_csv(metrics_record(paired_bundle), tmp_path / "m.csv")
+        rows = read_metrics_csv(path)
         for name, cells in rows.items():
             without, with_, stored = (
                 cells["no_withdrawal"], cells["withdrawal"], cells["difference_pct"]
@@ -270,11 +275,6 @@ class TestExportBundle:
         config = ScenarioConfig.from_dict(snapshot["config"])
         rerun = run_batch(config.replace(withdrawal_enabled=False))
         assert rerun.metrics == paired_bundle.no_withdrawal.metrics
-
-    def test_json_only_format(self, single_bundle, tmp_path):
-        written = export_bundle(single_bundle, tmp_path / "cell", csv=False)
-        names = {p.name for p in written}
-        assert "metrics.csv" not in names and "metrics.json" in names
 
 
 def _stub_batch(profit, scenario_id="stub", period=30):

@@ -76,6 +76,7 @@ class TestScenarioConfig:
             {"amount_range": None, "amount_fraction_of_initial": 1e10},
             {"lp_contribution_probability": 0.5, "lp_cap_fraction": 1.0,
              "initial_collateral": 2e11},
+            {"seed": -1},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -92,6 +93,16 @@ class TestScenarioConfig:
     def test_replace_recomputes_derived_fields(self):
         config = ScenarioConfig().replace(delay_range_days=(30, 60))
         assert config.horizon_days == 590
+        # a default max_entry_days follows n_invoices
+        config = ScenarioConfig().replace(n_invoices=42)
+        assert (config.max_entry_days, config.horizon_days) == (42, 192)
+        assert ScenarioConfig().replace(n_invoices=42, max_entry_days=7).max_entry_days == 7
+
+    def test_replace_keeps_a_custom_max_entry_days(self):
+        config = ScenarioConfig(max_entry_days=100).replace(withdrawal_enabled=True)
+        assert (config.max_entry_days, config.horizon_days) == (100, 250)
+        config = config.replace(n_invoices=50, delay_range_days=(30, 60))
+        assert (config.max_entry_days, config.horizon_days) == (100, 190)
 
     def test_round_trips_through_dict(self):
         config = scenario_preset("3.2", seed=99)
