@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-import time
 from pathlib import Path
 from typing import Iterator
 
@@ -24,7 +23,7 @@ from .engine import run_batches
 from .pool import NonPositiveDenominatorError, PoolState, ZeroVolumeError, quote_premium
 from .reports import (
     ReportBundle,
-    config_record,
+    cell_is_complete,
     diff_row_from_metrics_record,
     export_bundle,
     format_summary,
@@ -79,8 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--policy", choices=("both", "with", "without"), default="both",
                          help="run withdrawal and/or no-withdrawal batches (default both)")
         cmd.add_argument("--out", default="results", help="output directory (default results/)")
-        cmd.add_argument("--verbose", action="store_true",
-                         help="print simulation and per-cell export timing")
         cmd.set_defaults(func=cmd_simulate if name == "simulate" else cmd_sweep)
     return parser
 
@@ -166,41 +163,24 @@ def _recorded_config(batch_configs: dict[str, ScenarioConfig]) -> ScenarioConfig
 
 
 def _export_cells(
-    cells: dict[Path, dict[str, ScenarioConfig]], args: argparse.Namespace
-) -> Iterator[tuple[Path, ReportBundle, float]]:
-    """Simulate every cell in one ``run_batches`` and write each cell's report bundle.
-
-    Yields each cell's directory, bundle and export seconds as it is written.
-    """
-    started = time.perf_counter()
+    cells: dict[Path, dict[str, ScenarioConfig]]
+) -> Iterator[tuple[Path, ReportBundle]]:
+    """Run all cells in one ``run_batches``; yield each written cell's directory and bundle."""
     batches = iter(run_batches([batch for cell in cells.values() for batch in cell.values()]))
-    if args.verbose and cells:
-        print(f"simulated {len(cells)} cells [{time.perf_counter() - started:.1f}s]")
     for cell_dir, batch_configs in cells.items():
-        started = time.perf_counter()
         config = _recorded_config(batch_configs)
         results = {name: next(batches) for name in batch_configs}
         bundle = ReportBundle(scenario_id=config.scenario_id, config=config, **results)
         export_bundle(bundle, cell_dir)
-        yield cell_dir, bundle, time.perf_counter() - started
+        yield cell_dir, bundle
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cells = _cells(Path(args.out), [_resolve_config(args)], args.policy)
-    for cell_dir, bundle, _ in _export_cells(cells, args):
+    for cell_dir, bundle in _export_cells(cells):
         print(format_summary(bundle))
         print(f"\nreport bundle written to {cell_dir}")
     return 0
-
-
-def _is_complete(cell_dir: Path, batch_configs: dict[str, ScenarioConfig]) -> bool:
-    """True when the cell holds a machine record of exactly these batches."""
-    try:
-        stored = json.loads((cell_dir / "config.json").read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return False
-    expected = config_record(tuple(batch_configs), _recorded_config(batch_configs))
-    return stored == expected and (cell_dir / "metrics.json").is_file()
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -212,26 +192,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cells = _cells(Path(args.out), configs, args.policy)
     pending = {}
     for cell_dir, batch_configs in cells.items():
-        if _is_complete(cell_dir, batch_configs):
+        if cell_is_complete(cell_dir, tuple(batch_configs), _recorded_config(batch_configs)):
             print(f"{cell_dir.name}: already complete, skipping")
         else:
             pending[cell_dir] = batch_configs
 
-    for cell_dir, bundle, seconds in _export_cells(pending, args):
-        note = f" [{seconds:.1f}s]" if args.verbose else ""
+    for cell_dir, bundle in _export_cells(pending):
         profits = {
             name: getattr(bundle, name).metrics.amm_profit_pct for name in bundle.policies
         }
         shown = ", ".join(f"{name} profit {value:.2f}%" for name, value in profits.items())
-        print(f"{cell_dir.name}: {shown}{note}")
+        print(f"{cell_dir.name}: {shown}")
 
-    # every cell now holds metrics.json: skipped cells were checked, the rest just written
-    rows = []
-    for cell_dir in cells:
-        record = json.loads((cell_dir / "metrics.json").read_text(encoding="utf-8"))
-        row = diff_row_from_metrics_record(record)
-        if row is not None:
-            rows.append(row)
+    # every cell is now complete: skipped cells were checked, the rest just written
+    records = (json.loads((cell / "metrics.json").read_text(encoding="utf-8")) for cell in cells)
+    rows = [row for row in map(diff_row_from_metrics_record, records) if row is not None]
     if rows:
         report_path = write_diff_rows(rows, Path(args.out) / "diff_report.csv")
         print(f"policy difference report written to {report_path}")

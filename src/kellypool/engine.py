@@ -240,7 +240,7 @@ def _summary(
 ) -> SimulationMetrics:
     initial = config.initial_collateral
     n_unpaid = n_accepted - n_paid
-    total = config.n_invoices
+    total = min(config.n_invoices, config.max_entry_days)  # one arrival a day
     profit = volume + withdrawn - initial
     return SimulationMetrics(
         n_simulations=1,

@@ -12,7 +12,9 @@ The policy-difference column follows ``100 * (withdrawal -
 no_withdrawal) / |no_withdrawal|`` computed from the rounded columns.
 It is left empty only when the no-withdrawal value is zero and the
 withdrawal value is not; when both are zero it is ``0.0``.  All files
-are written atomically (temp file plus rename).
+are written atomically (temp file plus rename), and a cell's
+``config.json`` last, so ``cell_is_complete`` can tell a cell that
+holds its full file set.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .engine import BatchResult, SimulationMetrics, WithdrawalComparison, profit
 from .scenarios import ScenarioConfig
 
 DIFFERENCE_CONVENTION = "100 * (withdrawal - no_withdrawal) / |no_withdrawal|"
+POLICIES = ("no_withdrawal", "withdrawal")  # a bundle's policies, in column order
 TIMESERIES_HEADER = "day,liquidity,premium,volume,withdrawn"
 
 # Euro-denominated metric fields; everything else rounds at 4 decimals.
@@ -189,12 +192,7 @@ class ReportBundle:
 
     @property
     def policies(self) -> tuple[str, ...]:
-        names = []
-        if self.no_withdrawal is not None:
-            names.append("no_withdrawal")
-        if self.withdrawal is not None:
-            names.append("withdrawal")
-        return tuple(names)
+        return tuple(name for name in POLICIES if getattr(self, name) is not None)
 
 
 def _atomic_write(path: str | Path, text: str) -> Path:
@@ -283,23 +281,33 @@ def write_runs_csv(bundle_result: BatchResult, path: str | Path) -> Path:
 
 
 def config_record(policies: tuple[str, ...], config: ScenarioConfig) -> dict:
-    """Contents of ``config.json``; a sweep resumes a cell only on an equal record."""
+    """Contents of ``config.json``; a cell is complete only on an equal record."""
     return {"policies": list(policies), "config": config.to_dict()}
+
+
+def _cell_files(policies: tuple[str, ...]) -> set[str]:
+    """A cell's files besides ``config.json`` when it ran these policies."""
+    return {"metrics.json", "metrics.csv",
+            *(f"{kind}_{name}.csv" for name in policies for kind in ("timeseries", "runs"))}
 
 
 def export_bundle(bundle: ReportBundle, directory: str | Path) -> list[Path]:
     """Write the file set of one scenario cell into ``directory``.
 
-    ``config.json`` (enough to re-run the bundle bit-identically) and
-    ``metrics.json`` are the records that resume and the diff report read;
-    ``metrics.csv`` holds the same metric grid, and each policy adds its
-    ``timeseries_<policy>.csv`` and ``runs_<policy>.csv``.
+    ``metrics.json`` is the record the diff report reads, ``metrics.csv``
+    holds the same metric grid, and each policy adds its
+    ``timeseries_<policy>.csv`` and ``runs_<policy>.csv``; those of a
+    policy not run are removed.  ``config.json`` (enough to re-run the
+    bundle bit-identically) commits the set: removed first and written
+    last, it only stands beside a complete file set of the run it records.
     """
     directory = Path(directory)
+    commit = directory / "config.json"
+    commit.unlink(missing_ok=True)
+    for stale in _cell_files(POLICIES) - _cell_files(bundle.policies):
+        (directory / stale).unlink(missing_ok=True)
     record = metrics_record(bundle)
-    config = config_record(bundle.policies, bundle.config)
     written = [
-        write_metrics_json(config, directory / "config.json"),
         write_metrics_json(record, directory / "metrics.json"),
         write_metrics_csv(record, directory / "metrics.csv"),
     ]
@@ -307,7 +315,19 @@ def export_bundle(bundle: ReportBundle, directory: str | Path) -> list[Path]:
         result: BatchResult = getattr(bundle, name)
         written.append(write_timeseries_csv(result, directory / f"timeseries_{name}.csv"))
         written.append(write_runs_csv(result, directory / f"runs_{name}.csv"))
+    written.append(write_metrics_json(config_record(bundle.policies, bundle.config), commit))
     return written
+
+
+def cell_is_complete(directory: Path, policies: tuple[str, ...], config: ScenarioConfig) -> bool:
+    """True when ``directory`` holds the full file set of exactly this run."""
+    try:
+        stored = json.loads((directory / "config.json").read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return False
+    return stored == config_record(policies, config) and all(
+        (directory / name).is_file() for name in _cell_files(policies)
+    )
 
 
 def diff_report_rows(bundles: list[ReportBundle]) -> list[dict]:

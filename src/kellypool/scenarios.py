@@ -29,6 +29,7 @@ import dataclasses
 import json
 import math
 import numbers
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,6 +50,9 @@ WITHDRAWAL_PERIODS = (1, 30, 90)
 # pool must stay below 2**53 cents, where float64 still resolves a cent.
 _MAX_DAYS = 200_000
 _MAX_MONEY = 2.0**53 / 100
+
+# A scenario ID names its cell directory, so it must be one plain path component.
+_SCENARIO_ID = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9._-]*")
 
 
 def _is_int(value) -> bool:
@@ -117,6 +121,11 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not (check(value) or optional and value is None):
                 raise ConfigError(f"{name} must be {expected}, got {value!r}")
+        if not _SCENARIO_ID.fullmatch(self.scenario_id):
+            raise ConfigError(
+                f"scenario_id must be ASCII letters, digits, '.', '_' or '-' and not start "
+                f"with '.', got {self.scenario_id!r}"
+            )
         if self.n_simulations < 1:
             raise ConfigError("n_simulations must be at least 1")
         if self.initial_collateral <= 0:
@@ -202,7 +211,7 @@ class ScenarioConfig:
         return dataclasses.replace(self, **changes)
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
+        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         for key in ("q_range", "amount_range", "delay_range_days"):
             if out[key] is not None:
                 out[key] = list(out[key])

@@ -1,9 +1,11 @@
 """Tests for the command-line interface: exit codes, outputs, overrides."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from kellypool import reports
 from kellypool.cli import main
 
 
@@ -140,6 +142,34 @@ class TestSimulate:
         assert code == 2
         assert err.startswith("error: seed must be non-negative")
 
+    @pytest.mark.parametrize("scenario_id", ["../escaped", "a/b", "", "bad\ud800id"])
+    def test_scenario_id_that_is_no_directory_name_exits_2(self, capsys, tmp_path, scenario_id):
+        config_path = tmp_path / "named.json"
+        config_path.write_text(json.dumps({"scenario_id": scenario_id, "n_simulations": 1}))
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, "simulate", "--config", str(config_path), "--out", str(out))
+        assert code == 2
+        assert err.startswith("error: scenario_id must")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["named.json"]
+
+    @pytest.mark.parametrize("sims, policy", [("1", "with"), ("2", "both")])
+    def test_max_entry_days_sets_the_invoice_count(self, capsys, tmp_path, sims, policy):
+        # one simulation of one policy runs the scalar loop, the rest run lanes
+        config_path = tmp_path / "short.json"
+        config_path.write_text(json.dumps({"scenario_id": "short", "max_entry_days": 100}))
+        code, _, _ = run_cli(
+            capsys, "simulate", "--config", str(config_path), "--sims", sims,
+            "--policy", policy, "--out", str(tmp_path),
+        )
+        assert code == 0
+        record = json.loads((tmp_path / "short_p30" / "metrics.json").read_text())
+        for name in record["policies"]:
+            metrics = record["metrics"][name]
+            assert metrics["total_invoices"] == 100
+            assert metrics["pct_accepted"] == metrics["avg_accepted"]
+        if sims == "2":
+            assert record["metrics"]["no_withdrawal"]["pct_accepted"] == 31.5
+
     def test_bad_config_file_exits_2(self, capsys, tmp_path):
         config_path = tmp_path / "bad.json"
         config_path.write_text(json.dumps({"n_invoices": 5, "bogus_field": 1}))
@@ -232,11 +262,13 @@ class TestSimulate:
         with pytest.raises(SystemExit) as excinfo:
             main(["simulate", "--scenario", "5.3", "--withdraw-period", "7"])
         assert excinfo.value.code == 2
-        # every cell writes one file set; there is no --format to choose it
+        # every cell writes one file set; there is no --format to choose it,
+        # and no --verbose to print timings
         for command in (["simulate", "--scenario", "5.3"], ["sweep"]):
-            with pytest.raises(SystemExit) as excinfo:
-                main([*command, "--format", "json", "--out", str(tmp_path)])
-            assert excinfo.value.code == 2
+            for flag in (["--format", "json"], ["--verbose"]):
+                with pytest.raises(SystemExit) as excinfo:
+                    main([*command, *flag, "--out", str(tmp_path)])
+                assert excinfo.value.code == 2
 
 
 @pytest.fixture(scope="module")
@@ -329,3 +361,49 @@ class TestSweep:
         with pytest.raises(SystemExit) as excinfo:
             main(["sweep", "--withdraw-period", "30", "--out", str(tmp_path)])
         assert excinfo.value.code == 2
+
+    def test_policy_change_leaves_only_the_new_file_set(self, capsys, tmp_path):
+        assert main(["sweep", "--sims", "1", "--out", str(tmp_path)]) == 0
+        assert main(["sweep", "--sims", "2", "--policy", "with", "--out", str(tmp_path)]) == 0
+        cell = tmp_path / "2.3_p30"
+        assert sorted(p.name for p in cell.iterdir()) == [
+            "config.json", "metrics.csv", "metrics.json",
+            "runs_withdrawal.csv", "timeseries_withdrawal.csv",
+        ]
+
+    @pytest.mark.parametrize(
+        "name", ["metrics.csv", "timeseries_withdrawal.csv", "runs_no_withdrawal.csv"]
+    )
+    def test_missing_file_is_rewritten(self, sweep_dir, capsys, name):
+        path = sweep_dir / "1.2_p1" / name
+        expected = path.read_bytes()
+        path.unlink()
+        code = main(["sweep", "--sims", "2", "--out", str(sweep_dir), "--seed", "3"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.count("skipping") == 74
+        assert path.read_bytes() == expected
+
+    def test_interrupted_rewrite_is_recomputed(self, capsys, tmp_path, monkeypatch):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--sims", "1", "--out", str(out)]) == 0
+        write_runs_csv = reports.write_runs_csv
+
+        def failing_write(result, path):
+            if Path(path).parent.name == "2.3_p30":
+                raise OSError("disk full")
+            return write_runs_csv(result, path)
+
+        monkeypatch.setattr(reports, "write_runs_csv", failing_write)
+        assert main(["sweep", "--sims", "2", "--out", str(out)]) == 3
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert main(["sweep", "--sims", "2", "--out", str(out)]) == 0
+        assert "2.3_p30: already complete" not in capsys.readouterr().out
+        alone = tmp_path / "alone"
+        assert main(["simulate", "--scenario", "2.3", "--sims", "2", "--out", str(alone)]) == 0
+        cell = out / "2.3_p30"
+        names = sorted(p.name for p in cell.iterdir())
+        assert names == sorted(p.name for p in (alone / "2.3_p30").iterdir())
+        for name in names:
+            assert (cell / name).read_bytes() == (alone / "2.3_p30" / name).read_bytes(), name

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 from decimal import InvalidOperation
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from kellypool import (
     write_runs_csv,
     write_timeseries_csv,
 )
+from kellypool import reports
 from kellypool.engine import BatchResult, DailySeries, SimulationMetrics
 from kellypool.reports import (
     _FRACTION_SCALE,
@@ -34,6 +36,7 @@ from kellypool.reports import (
     TIMESERIES_HEADER,
     _rounded,
     _rounded_texts,
+    cell_is_complete,
     diff_report_rows,
     write_diff_rows,
 )
@@ -275,6 +278,43 @@ class TestExportBundle:
         config = ScenarioConfig.from_dict(snapshot["config"])
         rerun = run_batch(config.replace(withdrawal_enabled=False))
         assert rerun.metrics == paired_bundle.no_withdrawal.metrics
+
+    def test_config_written_last_and_other_policy_removed(
+        self, paired_bundle, single_bundle, tmp_path, monkeypatch
+    ):
+        cell = tmp_path / "cell"
+        export_bundle(paired_bundle, cell)
+        original, written = reports._atomic_write, []
+
+        def record_write(path, text):
+            # config.json is gone while every other file of the set is rewritten
+            written.append((Path(path).name, (cell / "config.json").exists()))
+            return original(path, text)
+
+        monkeypatch.setattr(reports, "_atomic_write", record_write)
+        export_bundle(single_bundle, cell)
+        assert written == [
+            ("metrics.json", False),
+            ("metrics.csv", False),
+            ("timeseries_no_withdrawal.csv", False),
+            ("runs_no_withdrawal.csv", False),
+            ("config.json", False),
+        ]
+        assert sorted(p.name for p in cell.iterdir()) == [
+            "config.json", "metrics.csv", "metrics.json",
+            "runs_no_withdrawal.csv", "timeseries_no_withdrawal.csv",
+        ]
+
+    def test_cell_is_complete(self, paired_bundle, tmp_path):
+        cell = tmp_path / "cell"
+        policies, config = paired_bundle.policies, paired_bundle.config
+        assert not cell_is_complete(cell, policies, config)
+        export_bundle(paired_bundle, cell)
+        assert cell_is_complete(cell, policies, config)
+        assert not cell_is_complete(cell, policies, config.replace(seed=config.seed + 1))
+        assert not cell_is_complete(cell, ("withdrawal",), config)
+        (cell / "runs_no_withdrawal.csv").unlink()
+        assert not cell_is_complete(cell, policies, config)
 
 
 def _stub_batch(profit, scenario_id="stub", period=30):

@@ -77,6 +77,10 @@ class TestScenarioConfig:
             {"lp_contribution_probability": 0.5, "lp_cap_fraction": 1.0,
              "initial_collateral": 2e11},
             {"seed": -1},
+            {"scenario_id": "../escaped"},
+            {"scenario_id": "a/b"},
+            {"scenario_id": ""},
+            {"scenario_id": "bad\ud800id"},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
