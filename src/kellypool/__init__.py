@@ -14,7 +14,6 @@ from .engine import (
     SimulationResult,
     WithdrawalComparison,
     compare_withdrawal,
-    profit_difference_pct,
     run_batch,
     run_batches,
     run_day,

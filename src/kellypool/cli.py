@@ -13,7 +13,6 @@ Exit codes: 0 on success, 2 on configuration errors, 3 on I/O errors.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -23,10 +22,11 @@ from .engine import run_batches
 from .pool import NonPositiveDenominatorError, PoolState, ZeroVolumeError, quote_premium
 from .reports import (
     ReportBundle,
-    cell_is_complete,
+    complete_cell_record,
     diff_row_from_metrics_record,
     export_bundle,
     format_summary,
+    metrics_record,
     round_money,
     write_diff_rows,
 )
@@ -190,23 +190,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for period in WITHDRAWAL_PERIODS
     ]
     cells = _cells(Path(args.out), configs, args.policy)
-    pending = {}
+    records, pending = {}, {}
     for cell_dir, batch_configs in cells.items():
-        if cell_is_complete(cell_dir, tuple(batch_configs), _recorded_config(batch_configs)):
-            print(f"{cell_dir.name}: already complete, skipping")
-        else:
+        record = complete_cell_record(
+            cell_dir, tuple(batch_configs), _recorded_config(batch_configs)
+        )
+        if record is None:
             pending[cell_dir] = batch_configs
+        else:
+            records[cell_dir] = record
+            print(f"{cell_dir.name}: already complete, skipping")
 
     for cell_dir, bundle in _export_cells(pending):
+        records[cell_dir] = metrics_record(bundle)
         profits = {
             name: getattr(bundle, name).metrics.amm_profit_pct for name in bundle.policies
         }
         shown = ", ".join(f"{name} profit {value:.2f}%" for name, value in profits.items())
         print(f"{cell_dir.name}: {shown}")
 
-    # every cell is now complete: skipped cells were checked, the rest just written
-    records = (json.loads((cell / "metrics.json").read_text(encoding="utf-8")) for cell in cells)
-    rows = [row for row in map(diff_row_from_metrics_record, records) if row is not None]
+    rows = [diff_row_from_metrics_record(records[cell_dir]) for cell_dir in cells]
+    rows = [row for row in rows if row is not None]
     if rows:
         report_path = write_diff_rows(rows, Path(args.out) / "diff_report.csv")
         print(f"policy difference report written to {report_path}")

@@ -674,15 +674,10 @@ class WithdrawalComparison:
     @property
     def profit_difference_pct(self) -> float | None:
         """100 * (with - without) / |without|; None when without is zero."""
-        return profit_difference_pct(
-            self.no_withdrawal.metrics.amm_profit, self.withdrawal.metrics.amm_profit
-        )
-
-
-def profit_difference_pct(without: float, with_: float) -> float | None:
-    if without == 0.0:
-        return None
-    return 100.0 * (with_ - without) / abs(without)
+        without = self.no_withdrawal.metrics.amm_profit
+        if without == 0.0:
+            return None
+        return 100.0 * (self.withdrawal.metrics.amm_profit - without) / abs(without)
 
 
 def compare_withdrawal(config: ScenarioConfig) -> WithdrawalComparison:

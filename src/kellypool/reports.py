@@ -13,8 +13,8 @@ no_withdrawal) / |no_withdrawal|`` computed from the rounded columns.
 It is left empty only when the no-withdrawal value is zero and the
 withdrawal value is not; when both are zero it is ``0.0``.  All files
 are written atomically (temp file plus rename), and a cell's
-``config.json`` last, so ``cell_is_complete`` can tell a cell that
-holds its full file set.
+``config.json`` last, so ``complete_cell_record`` can tell a cell that
+holds its full file set and hand back its metrics record.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .engine import BatchResult, SimulationMetrics, WithdrawalComparison, profit_difference_pct
+from .engine import BatchResult, SimulationMetrics, WithdrawalComparison
 from .scenarios import ScenarioConfig
 
 DIFFERENCE_CONVENTION = "100 * (withdrawal - no_withdrawal) / |no_withdrawal|"
@@ -319,15 +319,56 @@ def export_bundle(bundle: ReportBundle, directory: str | Path) -> list[Path]:
     return written
 
 
-def cell_is_complete(directory: Path, policies: tuple[str, ...], config: ScenarioConfig) -> bool:
-    """True when ``directory`` holds the full file set of exactly this run."""
-    try:
-        stored = json.loads((directory / "config.json").read_text(encoding="utf-8"))
-    except (OSError, ValueError):
+def _read_json(path: Path):
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _holds_diff_values(record, expected: dict) -> bool:
+    """Whether ``record`` has the entries of ``expected`` and each value a diff row reads."""
+    if not isinstance(record, dict) or any(record.get(k) != v for k, v in expected.items()):
         return False
-    return stored == config_record(policies, config) and all(
-        (directory / name).is_file() for name in _cell_files(policies)
+    policies = expected["policies"]
+    columns = policies + ["difference_pct"] * (len(policies) == 2)
+    metrics = record.get("metrics")
+    if not isinstance(metrics, dict) or list(metrics) != columns:
+        return False
+    try:
+        profits = {name: column["amm_profit"] for name, column in metrics.items()}
+    except (KeyError, TypeError):
+        return False
+    return all(
+        _is_number(value) or (value is None and name == "difference_pct")
+        for name, value in profits.items()
     )
+
+
+def complete_cell_record(
+    directory: Path, policies: tuple[str, ...], config: ScenarioConfig
+) -> dict | None:
+    """The metrics record of ``directory`` when it holds the full file set of exactly this run.
+
+    The cell is complete when ``config.json`` equals ``config_record(policies,
+    config)``, ``metrics.json`` is a UTF-8 JSON metrics record of the same
+    scenario, policies and config that holds every value
+    ``diff_row_from_metrics_record`` reads, and every other file of the set
+    exists.  Otherwise None, and the cell is to be computed again.
+    """
+    expected = config_record(policies, config)
+    try:
+        if _read_json(directory / "config.json") != expected:
+            return None
+        record = _read_json(directory / "metrics.json")
+    except (OSError, ValueError):
+        return None
+    if not _holds_diff_values(record, {"scenario_id": config.scenario_id, **expected}):
+        return None
+    if not all((directory / name).is_file() for name in _cell_files(policies)):
+        return None
+    return record
 
 
 def diff_report_rows(bundles: list[ReportBundle]) -> list[dict]:
@@ -339,21 +380,20 @@ def diff_report_rows(bundles: list[ReportBundle]) -> list[dict]:
 def diff_row_from_metrics_record(record: dict) -> dict | None:
     """Per scenario and period: absolute profits, difference, and flags.
 
-    Built from a metrics record, in memory or read back from
+    Built from a metrics record, of a bundle or of a complete cell's
     ``metrics.json``; None unless the record is paired.
     """
-    metrics = record.get("metrics", {})
-    if "no_withdrawal" not in metrics or "withdrawal" not in metrics:
+    metrics = record["metrics"]
+    if "difference_pct" not in metrics:
         return None
     without = metrics["no_withdrawal"]["amm_profit"]
     with_ = metrics["withdrawal"]["amm_profit"]
-    diff = profit_difference_pct(without, with_)
     return {
         "scenario_id": record["scenario_id"],
         "withdrawal_period_days": record["config"]["withdrawal_period_days"],
         "profit_no_withdrawal": without,
         "profit_withdrawal": with_,
-        "difference_pct": None if diff is None else _rounded([diff], _FRACTION_SCALE)[0],
+        "difference_pct": metrics["difference_pct"]["amm_profit"],
         "sign_change": (without < 0) != (with_ < 0),
         "loss_no_withdrawal": without < 0,
         "loss_withdrawal": with_ < 0,

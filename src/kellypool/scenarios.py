@@ -233,8 +233,8 @@ class ScenarioConfig:
     def from_json_file(cls, path: str | Path) -> "ScenarioConfig":
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise ConfigError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: config file must hold a JSON object")
         return cls.from_dict(data)

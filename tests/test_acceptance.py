@@ -56,6 +56,8 @@ from kellypool.reports import (
 )
 from kellypool.scenarios import SWEEP_IDS, WITHDRAWAL_PERIODS
 
+import report_digests
+
 FULL_SIMS = 100
 
 
@@ -363,6 +365,18 @@ def test_criterion6c_bitwise_determinism(tmp_path):
             ("runs.csv identical", outputs[0][2] == outputs[1][2], "bytes differ"),
         ],
     )
+
+
+def test_report_bytes_match_pinned_digests(sweep, tmp_path):
+    """Every report file of the gate is byte-identical to its pinned digest.
+
+    On a change that moves report bytes on purpose, regenerate the digests
+    with ``python tests/report_digests.py --write``.
+    """
+    expected = json.loads(report_digests.DIGESTS.read_text(encoding="utf-8"))
+    actual = report_digests.run_gate(tmp_path, done={report_digests.FULL_SWEEP: sweep[0]})
+    moved = report_digests.moved(expected, actual)
+    assert not moved, "report files moved:\n" + "\n".join(moved)
 
 
 # --- criterion 7: full-sweep reproduction run ----------------------------------

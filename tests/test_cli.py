@@ -1,6 +1,7 @@
 """Tests for the command-line interface: exit codes, outputs, overrides."""
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -172,10 +173,16 @@ class TestSimulate:
 
     def test_bad_config_file_exits_2(self, capsys, tmp_path):
         config_path = tmp_path / "bad.json"
-        config_path.write_text(json.dumps({"n_invoices": 5, "bogus_field": 1}))
-        code, _, err = run_cli(capsys, "simulate", "--config", str(config_path), "--out", str(tmp_path))
-        assert code == 2
-        assert "unknown config fields" in err
+        for content, message in (
+            (json.dumps({"n_invoices": 5, "bogus_field": 1}).encode(), "unknown config fields"),
+            (b'{"scenario_id": "caf\xe9"}', "UTF-8"),
+        ):
+            config_path.write_bytes(content)
+            code, _, err = run_cli(
+                capsys, "simulate", "--config", str(config_path), "--out", str(tmp_path)
+            )
+            assert code == 2
+            assert message in err
 
     @pytest.mark.parametrize(
         "field, value",
@@ -280,6 +287,13 @@ def sweep_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def sims1_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("sweep_sims1")
+    assert main(["sweep", "--sims", "1", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
 def sweep_seed4_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("sweep_seed4")
     assert main(["sweep", "--sims", "2", "--out", str(out), "--seed", "4"]) == 0
@@ -347,14 +361,15 @@ class TestSweep:
         assert "skipping" not in capsys.readouterr().out
         assert (tmp_path / "2.3_p30" / "timeseries_no_withdrawal.csv").exists()
 
-    def test_csv_format_resumes_and_writes_diff_report(self, capsys, tmp_path):
+    def test_all_skip_rerun_writes_the_same_diff_report(self, capsys, tmp_path):
         assert main(["sweep", "--sims", "1", "--out", str(tmp_path)]) == 0
-        lines = (tmp_path / "diff_report.csv").read_text().splitlines()
-        assert len(lines) == 2 + 75
-        assert (tmp_path / "2.3_p30" / "metrics.csv").exists()
+        report = (tmp_path / "diff_report.csv").read_bytes()
+        assert len(report.splitlines()) == 2 + 75
         capsys.readouterr()
+        (tmp_path / "diff_report.csv").unlink()
         assert main(["sweep", "--sims", "1", "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().out.count("skipping") == 75
+        assert (tmp_path / "diff_report.csv").read_bytes() == report
 
     def test_period_is_not_a_sweep_flag(self, capsys, tmp_path):
         # the sweep iterates all withdrawal periods itself
@@ -407,3 +422,26 @@ class TestSweep:
         assert names == sorted(p.name for p in (alone / "2.3_p30").iterdir())
         for name in names:
             assert (cell / name).read_bytes() == (alone / "2.3_p30" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("damage", ["truncated", "foreign", "non_utf8"])
+    def test_damaged_metrics_record_is_recomputed(self, sims1_dir, capsys, tmp_path, damage):
+        out = tmp_path / "sweep"
+        shutil.copytree(sims1_dir, out)
+        path = out / "2.3_p30" / "metrics.json"
+        if damage == "truncated":
+            path.write_text('{"trunc', encoding="utf-8")
+        elif damage == "foreign":
+            assert main(["simulate", "--scenario", "2.3", "--sims", "1", "--seed", "5",
+                         "--out", str(tmp_path / "seed5")]) == 0
+            shutil.copy(tmp_path / "seed5" / "2.3_p30" / "metrics.json", path)
+        else:
+            path.write_bytes(path.read_bytes() + b"\xff")
+        capsys.readouterr()
+        assert main(["sweep", "--sims", "1", "--out", str(out)]) == 0
+        shown = capsys.readouterr().out
+        assert shown.count("skipping") == 74
+        assert "2.3_p30: already complete" not in shown
+        names = sorted(p.name for p in (sims1_dir / "2.3_p30").iterdir())
+        assert sorted(p.name for p in path.parent.iterdir()) == names
+        for name in ["diff_report.csv", *(f"2.3_p30/{name}" for name in names)]:
+            assert (out / name).read_bytes() == (sims1_dir / name).read_bytes(), name

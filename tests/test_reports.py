@@ -36,7 +36,7 @@ from kellypool.reports import (
     TIMESERIES_HEADER,
     _rounded,
     _rounded_texts,
-    cell_is_complete,
+    complete_cell_record,
     diff_report_rows,
     write_diff_rows,
 )
@@ -308,13 +308,38 @@ class TestExportBundle:
     def test_cell_is_complete(self, paired_bundle, tmp_path):
         cell = tmp_path / "cell"
         policies, config = paired_bundle.policies, paired_bundle.config
-        assert not cell_is_complete(cell, policies, config)
+        assert complete_cell_record(cell, policies, config) is None
         export_bundle(paired_bundle, cell)
-        assert cell_is_complete(cell, policies, config)
-        assert not cell_is_complete(cell, policies, config.replace(seed=config.seed + 1))
-        assert not cell_is_complete(cell, ("withdrawal",), config)
+        assert complete_cell_record(cell, policies, config) == metrics_record(paired_bundle)
+        assert complete_cell_record(cell, policies, config.replace(seed=config.seed + 1)) is None
+        assert complete_cell_record(cell, ("withdrawal",), config) is None
         (cell / "runs_no_withdrawal.csv").unlink()
-        assert not cell_is_complete(cell, policies, config)
+        assert complete_cell_record(cell, policies, config) is None
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda record: record.update(scenario_id="other"),
+            lambda record: record.update(policies=["withdrawal"]),
+            lambda record: record["config"].update(seed=0),
+            lambda record: record["metrics"].pop("difference_pct"),
+            lambda record: record["metrics"]["withdrawal"].update(amm_profit="12.5"),
+            lambda record: record["metrics"]["difference_pct"].update(amm_profit=True),
+            lambda record: record["metrics"]["no_withdrawal"].pop("amm_profit"),
+            lambda record: record["metrics"].update(withdrawal=[1.0]),
+        ],
+        ids=["scenario_id", "policies", "config", "no_difference", "text_profit",
+             "bool_difference", "no_profit", "list_column"],
+    )
+    def test_metrics_record_that_does_not_match_is_incomplete(
+        self, paired_bundle, tmp_path, damage
+    ):
+        cell = tmp_path / "cell"
+        export_bundle(paired_bundle, cell)
+        record = metrics_record(paired_bundle)
+        damage(record)
+        (cell / "metrics.json").write_text(json.dumps(record), encoding="utf-8")
+        assert complete_cell_record(cell, paired_bundle.policies, paired_bundle.config) is None
 
 
 def _stub_batch(profit, scenario_id="stub", period=30):
@@ -365,6 +390,14 @@ class TestDiffReport:
         assert row["loss_no_withdrawal"] == "True"
         assert row["loss_withdrawal"] == "False"
         assert float(row["difference_pct"]) == pytest.approx(500.0)
+
+    def test_zero_base_follows_the_metrics_record(self):
+        comparison = compare_withdrawal(ScenarioConfig(n_invoices=0, n_simulations=2))
+        bundle = ReportBundle.from_comparison(comparison)
+        assert metrics_record(bundle)["metrics"]["difference_pct"]["amm_profit"] == 0.0
+        (row,) = diff_report_rows([bundle])
+        assert (row["profit_no_withdrawal"], row["profit_withdrawal"]) == (0.0, 0.0)
+        assert row["difference_pct"] == 0.0
 
     def test_single_policy_bundles_skipped(self, single_bundle, tmp_path):
         with pytest.raises(ValueError):
