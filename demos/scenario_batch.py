@@ -5,7 +5,7 @@ simulation count so the demo finishes in about a second; bump
 N_SIMULATIONS to 100 for table-grade averages.
 """
 
-from kellypool import ReportBundle, compare_withdrawal, format_summary, scenario_preset
+from kellypool import compare_withdrawal, format_summary, scenario_preset
 
 N_SIMULATIONS = 30
 
@@ -15,12 +15,11 @@ def main():
         "5.1", n_simulations=N_SIMULATIONS, seed=7, withdrawal_period_days=30
     )
     comparison = compare_withdrawal(config)
-    bundle = ReportBundle.from_comparison(comparison)
 
     print(f"scenario {config.scenario_id}: {N_SIMULATIONS} simulations, "
           f"{config.horizon_days}-day horizon, withdrawal every "
           f"{config.withdrawal_period_days} days\n")
-    print(format_summary(bundle))
+    print(format_summary(comparison))
 
     series = comparison.withdrawal.mean_series
     print("\nmean trajectory every 100 days (withdrawal policy):")

@@ -9,10 +9,10 @@ simulator, withdrawal-policy comparisons, and CSV/JSON reporting.
 
 from .engine import (
     BatchResult,
+    CellResult,
     DailySeries,
     SimulationMetrics,
     SimulationResult,
-    WithdrawalComparison,
     compare_withdrawal,
     run_batch,
     run_batches,
@@ -40,7 +40,6 @@ from .pool import (
     withdraw_premium,
 )
 from .reports import (
-    ReportBundle,
     export_bundle,
     format_summary,
     metrics_record,

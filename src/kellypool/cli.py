@@ -18,10 +18,9 @@ import sys
 from pathlib import Path
 from typing import Iterator
 
-from .engine import run_batches
+from .engine import POLICIES, CellResult, run_batches
 from .pool import NonPositiveDenominatorError, PoolState, ZeroVolumeError, quote_premium
 from .reports import (
-    ReportBundle,
     complete_cell_record,
     diff_row_from_metrics_record,
     export_bundle,
@@ -31,6 +30,7 @@ from .reports import (
     write_diff_rows,
 )
 from .scenarios import (
+    _MAX_MONEY,
     PRESET_IDS,
     SWEEP_IDS,
     WITHDRAWAL_PERIODS,
@@ -94,11 +94,18 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
+def _check_money(name: str, value: float) -> None:
+    if not abs(value) < _MAX_MONEY:
+        raise ConfigError(f"{name} is {value:.6g} euros, not below 2**53 cents ({_MAX_MONEY:.6g})")
+
+
 def cmd_quote(args: argparse.Namespace) -> int:
     for flag in ("q", "amount", "liquidity", "premium"):
         value = getattr(args, flag)
         if not math.isfinite(value):
             raise ConfigError(f"--{flag} must be a finite number, got {value}")
+        if flag != "q":
+            _check_money(f"--{flag}", value)
     pool = PoolState(liquidity=args.liquidity, premium_reserve=args.premium)
     try:
         quote = quote_premium(args.q, args.amount, pool)
@@ -108,6 +115,7 @@ def cmd_quote(args: argparse.Namespace) -> int:
     except (ZeroVolumeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _check_money("the quoted premium", quote.premium)
     print(f"f: {quote.f:.4f}")
     print(f"b: {quote.b:.4f}")
     print(f"premium: {round_money(quote.premium):.2f}")
@@ -137,11 +145,7 @@ def _apply_overrides(config: ScenarioConfig, args: argparse.Namespace) -> Scenar
     return config.replace(**overrides) if overrides else config
 
 
-_POLICY_NAMES = {
-    "both": ("no_withdrawal", "withdrawal"),
-    "without": ("no_withdrawal",),
-    "with": ("withdrawal",),
-}
+_POLICY_NAMES = {"both": POLICIES, "without": POLICIES[:1], "with": POLICIES[1:]}
 
 
 def _cells(
@@ -157,28 +161,21 @@ def _cells(
     }
 
 
-def _recorded_config(batch_configs: dict[str, ScenarioConfig]) -> ScenarioConfig:
-    """The config a cell's bundle records and resume compares against: its last batch's."""
-    return list(batch_configs.values())[-1]
-
-
 def _export_cells(
     cells: dict[Path, dict[str, ScenarioConfig]]
-) -> Iterator[tuple[Path, ReportBundle]]:
-    """Run all cells in one ``run_batches``; yield each written cell's directory and bundle."""
+) -> Iterator[tuple[Path, CellResult]]:
+    """Run all cells in one ``run_batches``; yield each written cell's directory and result."""
     batches = iter(run_batches([batch for cell in cells.values() for batch in cell.values()]))
     for cell_dir, batch_configs in cells.items():
-        config = _recorded_config(batch_configs)
-        results = {name: next(batches) for name in batch_configs}
-        bundle = ReportBundle(scenario_id=config.scenario_id, config=config, **results)
-        export_bundle(bundle, cell_dir)
-        yield cell_dir, bundle
+        cell = CellResult(**{name: next(batches) for name in batch_configs})
+        export_bundle(cell, cell_dir)
+        yield cell_dir, cell
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cells = _cells(Path(args.out), [_resolve_config(args)], args.policy)
-    for cell_dir, bundle in _export_cells(cells):
-        print(format_summary(bundle))
+    for cell_dir, cell in _export_cells(cells):
+        print(format_summary(cell))
         print(f"\nreport bundle written to {cell_dir}")
     return 0
 
@@ -192,20 +189,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cells = _cells(Path(args.out), configs, args.policy)
     records, pending = {}, {}
     for cell_dir, batch_configs in cells.items():
-        record = complete_cell_record(
-            cell_dir, tuple(batch_configs), _recorded_config(batch_configs)
-        )
+        # the config CellResult records: that of the cell's last policy
+        record = complete_cell_record(cell_dir, tuple(batch_configs), [*batch_configs.values()][-1])
         if record is None:
             pending[cell_dir] = batch_configs
         else:
             records[cell_dir] = record
             print(f"{cell_dir.name}: already complete, skipping")
 
-    for cell_dir, bundle in _export_cells(pending):
-        records[cell_dir] = metrics_record(bundle)
-        profits = {
-            name: getattr(bundle, name).metrics.amm_profit_pct for name in bundle.policies
-        }
+    for cell_dir, cell in _export_cells(pending):
+        records[cell_dir] = metrics_record(cell)
+        profits = {name: getattr(cell, name).metrics.amm_profit_pct for name in cell.policies}
         shown = ", ".join(f"{name} profit {value:.2f}%" for name, value in profits.items())
         print(f"{cell_dir.name}: {shown}")
 

@@ -656,33 +656,50 @@ def _reduce_lanes(
     ]
 
 
-@dataclass(frozen=True)
-class WithdrawalComparison:
-    """Paired batches sharing one seed: withdrawal off versus on."""
+POLICIES = ("no_withdrawal", "withdrawal")  # a cell's premium policies, in column order
 
-    no_withdrawal: BatchResult
-    withdrawal: BatchResult
+
+@dataclass(frozen=True)
+class CellResult:
+    """One scenario cell: its batch under each premium policy that ran, on one seed.
+
+    The cell records its last policy's config: the withdrawal batch's if that ran.
+    """
+
+    no_withdrawal: BatchResult | None = None
+    withdrawal: BatchResult | None = None
+
+    def __post_init__(self) -> None:
+        if self.no_withdrawal is None and self.withdrawal is None:
+            raise ValueError("a cell needs at least one policy result")
+
+    @property
+    def policies(self) -> tuple[str, ...]:
+        return tuple(name for name in POLICIES if getattr(self, name) is not None)
+
+    @property
+    def config(self) -> ScenarioConfig:
+        return getattr(self, self.policies[-1]).config
 
     @property
     def scenario_id(self) -> str:
-        return self.withdrawal.config.scenario_id
-
-    @property
-    def withdrawal_period_days(self) -> int:
-        return self.withdrawal.config.withdrawal_period_days
+        return self.config.scenario_id
 
     @property
     def profit_difference_pct(self) -> float | None:
-        """100 * (with - without) / |without|; None when without is zero."""
-        without = self.no_withdrawal.metrics.amm_profit
-        if without == 0.0:
+        """100 * (with - without) / |without| of a paired cell; 0.0 when both are zero,
+        None when a policy did not run or only the base is zero."""
+        if len(self.policies) < 2:
             return None
-        return 100.0 * (self.withdrawal.metrics.amm_profit - without) / abs(without)
+        without, with_ = self.no_withdrawal.metrics.amm_profit, self.withdrawal.metrics.amm_profit
+        if without == 0.0:
+            return 0.0 if with_ == 0.0 else None
+        return 100.0 * (with_ - without) / abs(without)
 
 
-def compare_withdrawal(config: ScenarioConfig) -> WithdrawalComparison:
+def compare_withdrawal(config: ScenarioConfig) -> CellResult:
     """Run the batch twice with identical seeds, withdrawal off then on."""
     no_withdrawal, withdrawal = run_batches(
         [config.replace(withdrawal_enabled=False), config.replace(withdrawal_enabled=True)]
     )
-    return WithdrawalComparison(no_withdrawal=no_withdrawal, withdrawal=withdrawal)
+    return CellResult(no_withdrawal=no_withdrawal, withdrawal=withdrawal)

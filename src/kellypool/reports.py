@@ -23,7 +23,7 @@ import functools
 import json
 import os
 import tempfile
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from decimal import ROUND_HALF_UP, Decimal
 from operator import attrgetter
 from pathlib import Path
@@ -31,11 +31,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .engine import BatchResult, SimulationMetrics, WithdrawalComparison
+from .engine import POLICIES, BatchResult, CellResult, SimulationMetrics
 from .scenarios import ScenarioConfig
 
 DIFFERENCE_CONVENTION = "100 * (withdrawal - no_withdrawal) / |no_withdrawal|"
-POLICIES = ("no_withdrawal", "withdrawal")  # a bundle's policies, in column order
 TIMESERIES_HEADER = "day,liquidity,premium,volume,withdrawn"
 
 # Euro-denominated metric fields; everything else rounds at 4 decimals.
@@ -168,31 +167,16 @@ def _difference_column(without: dict, with_: dict) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class ReportBundle:
-    """Everything needed to report one scenario cell and re-run it."""
+class ReportBundle(CellResult):
+    """``CellResult`` under the old name and arguments that ``benchmarks/workloads.py``
+    calls; it goes once that script builds ``CellResult`` directly."""
 
-    scenario_id: str
-    config: ScenarioConfig
-    no_withdrawal: BatchResult | None = None
-    withdrawal: BatchResult | None = None
+    def __init__(self, scenario_id=None, config=None, no_withdrawal=None, withdrawal=None):
+        super().__init__(no_withdrawal, withdrawal)
 
-    def __post_init__(self) -> None:
-        if self.no_withdrawal is None and self.withdrawal is None:
-            raise ValueError("a report bundle needs at least one policy result")
-
-    @classmethod
-    def from_comparison(cls, comparison: WithdrawalComparison) -> "ReportBundle":
-        return cls(
-            scenario_id=comparison.scenario_id,
-            config=comparison.withdrawal.config,
-            no_withdrawal=comparison.no_withdrawal,
-            withdrawal=comparison.withdrawal,
-        )
-
-    @property
-    def policies(self) -> tuple[str, ...]:
-        return tuple(name for name in POLICIES if getattr(self, name) is not None)
+    @staticmethod
+    def from_comparison(comparison: CellResult) -> CellResult:
+        return comparison
 
 
 def _atomic_write(path: str | Path, text: str) -> Path:
@@ -214,22 +198,22 @@ def _atomic_write(path: str | Path, text: str) -> Path:
     return path
 
 
-def metrics_record(bundle: ReportBundle) -> dict:
+def metrics_record(cell: CellResult) -> dict:
     """Metrics for every policy ran, plus the difference column when paired."""
     record = {
-        "scenario_id": bundle.scenario_id,
+        "scenario_id": cell.scenario_id,
         "difference_convention": DIFFERENCE_CONVENTION,
-        "config": bundle.config.to_dict(),
-        "policies": list(bundle.policies),
+        "config": cell.config.to_dict(),
+        "policies": list(cell.policies),
         "metrics": {},
         "loss": {},
     }
-    batch_metrics = [getattr(bundle, name).metrics for name in bundle.policies]
+    batch_metrics = [getattr(cell, name).metrics for name in cell.policies]
     rows = _rounded_metric_rows(batch_metrics)
-    for name, metrics, row in zip(bundle.policies, batch_metrics, rows):
+    for name, metrics, row in zip(cell.policies, batch_metrics, rows):
         record["metrics"][name] = dict(zip(METRIC_FIELDS, row))
         record["loss"][name] = metrics.amm_profit < 0.0
-    if len(bundle.policies) == 2:
+    if len(cell.policies) == 2:
         record["metrics"]["difference_pct"] = _difference_column(
             record["metrics"]["no_withdrawal"], record["metrics"]["withdrawal"]
         )
@@ -255,9 +239,9 @@ def write_metrics_csv(record: dict, path: str | Path) -> Path:
     return _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def write_timeseries_csv(bundle_result: BatchResult, path: str | Path) -> Path:
+def write_timeseries_csv(batch: BatchResult, path: str | Path) -> Path:
     """One row per day of the (mean) trajectory; the premium column is the reserve."""
-    series = bundle_result.mean_series
+    series = batch.mean_series
     columns = _rounded_texts(
         np.stack([series.liquidity, series.premium_reserve, series.volume,
                   series.cumulative_withdrawn], axis=1),
@@ -268,9 +252,9 @@ def write_timeseries_csv(bundle_result: BatchResult, path: str | Path) -> Path:
     return _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def write_runs_csv(bundle_result: BatchResult, path: str | Path) -> Path:
+def write_runs_csv(batch: BatchResult, path: str | Path) -> Path:
     """Per-simulation metrics table for dispersion analysis."""
-    rows = [_metric_values(m) for m in bundle_result.per_run]
+    rows = [_metric_values(m) for m in batch.per_run]
     columns = [
         [str(value) if isinstance(value, int) else text for value, text in zip(values, texts)]
         for values, texts in zip(zip(*rows), _rounded_texts(rows, _METRIC_SCALES))
@@ -291,31 +275,31 @@ def _cell_files(policies: tuple[str, ...]) -> set[str]:
             *(f"{kind}_{name}.csv" for name in policies for kind in ("timeseries", "runs"))}
 
 
-def export_bundle(bundle: ReportBundle, directory: str | Path) -> list[Path]:
+def export_bundle(cell: CellResult, directory: str | Path) -> list[Path]:
     """Write the file set of one scenario cell into ``directory``.
 
     ``metrics.json`` is the record the diff report reads, ``metrics.csv``
     holds the same metric grid, and each policy adds its
     ``timeseries_<policy>.csv`` and ``runs_<policy>.csv``; those of a
     policy not run are removed.  ``config.json`` (enough to re-run the
-    bundle bit-identically) commits the set: removed first and written
+    cell bit-identically) commits the set: removed first and written
     last, it only stands beside a complete file set of the run it records.
     """
     directory = Path(directory)
     commit = directory / "config.json"
     commit.unlink(missing_ok=True)
-    for stale in _cell_files(POLICIES) - _cell_files(bundle.policies):
+    for stale in _cell_files(POLICIES) - _cell_files(cell.policies):
         (directory / stale).unlink(missing_ok=True)
-    record = metrics_record(bundle)
+    record = metrics_record(cell)
     written = [
         write_metrics_json(record, directory / "metrics.json"),
         write_metrics_csv(record, directory / "metrics.csv"),
     ]
-    for name in bundle.policies:
-        result: BatchResult = getattr(bundle, name)
-        written.append(write_timeseries_csv(result, directory / f"timeseries_{name}.csv"))
-        written.append(write_runs_csv(result, directory / f"runs_{name}.csv"))
-    written.append(write_metrics_json(config_record(bundle.policies, bundle.config), commit))
+    for name in cell.policies:
+        batch: BatchResult = getattr(cell, name)
+        written.append(write_timeseries_csv(batch, directory / f"timeseries_{name}.csv"))
+        written.append(write_runs_csv(batch, directory / f"runs_{name}.csv"))
+    written.append(write_metrics_json(config_record(cell.policies, cell.config), commit))
     return written
 
 
@@ -371,16 +355,16 @@ def complete_cell_record(
     return record
 
 
-def diff_report_rows(bundles: list[ReportBundle]) -> list[dict]:
-    """Diff-report rows of the paired bundles; single-policy bundles are skipped."""
-    rows = (diff_row_from_metrics_record(metrics_record(bundle)) for bundle in bundles)
+def diff_report_rows(cells: list[CellResult]) -> list[dict]:
+    """Diff-report rows of the paired cells; single-policy cells are skipped."""
+    rows = (diff_row_from_metrics_record(metrics_record(cell)) for cell in cells)
     return [row for row in rows if row is not None]
 
 
 def diff_row_from_metrics_record(record: dict) -> dict | None:
     """Per scenario and period: absolute profits, difference, and flags.
 
-    Built from a metrics record, of a bundle or of a complete cell's
+    Built from a metrics record, of a ``CellResult`` or of a complete cell's
     ``metrics.json``; None unless the record is paired.
     """
     metrics = record["metrics"]
@@ -403,7 +387,7 @@ def diff_row_from_metrics_record(record: dict) -> dict | None:
 def write_diff_rows(rows: list[dict], path: str | Path) -> Path:
     """Cross-scenario comparison of profit with and without withdrawal."""
     if not rows:
-        raise ValueError("diff report needs at least one paired bundle")
+        raise ValueError("diff report needs at least one paired cell")
     columns = list(rows[0])
     lines = [f"# difference_pct = {DIFFERENCE_CONVENTION}", ",".join(columns)]
     for row in rows:
@@ -412,9 +396,9 @@ def write_diff_rows(rows: list[dict], path: str | Path) -> Path:
     return _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def format_summary(bundle: ReportBundle) -> str:
+def format_summary(cell: CellResult) -> str:
     """Fixed-width metric table for terminal output."""
-    record = metrics_record(bundle)
+    record = metrics_record(cell)
     columns = list(record["metrics"])
     header = ["metric".ljust(28)] + [c.rjust(16) for c in columns]
     lines = [" ".join(header), "-" * (28 + 17 * len(columns))]

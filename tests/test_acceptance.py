@@ -48,7 +48,6 @@ from kellypool import (
 )
 from kellypool.cli import main as cli_main
 from kellypool.reports import (
-    ReportBundle,
     metrics_record,
     write_metrics_json,
     write_runs_csv,
@@ -348,11 +347,11 @@ def test_criterion6c_bitwise_determinism(tmp_path):
     )
     outputs = []
     for run in ("first", "second"):
-        bundle = ReportBundle.from_comparison(compare_withdrawal(config))
+        cell = compare_withdrawal(config)
         directory = tmp_path / run
-        write_metrics_json(metrics_record(bundle), directory / "metrics.json")
-        write_timeseries_csv(bundle.withdrawal, directory / "timeseries.csv")
-        write_runs_csv(bundle.withdrawal, directory / "runs.csv")
+        write_metrics_json(metrics_record(cell), directory / "metrics.json")
+        write_timeseries_csv(cell.withdrawal, directory / "timeseries.csv")
+        write_runs_csv(cell.withdrawal, directory / "runs.csv")
         outputs.append(
             tuple((directory / name).read_bytes()
                   for name in ("metrics.json", "timeseries.csv", "runs.csv"))

@@ -61,6 +61,23 @@ class TestQuote:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {flag} must be a finite number")
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["--q", "0.4", "--amount", "1e30", "--liquidity", "1e31"], "--amount is 1e+30"),
+            (["--q", "0.4", "--amount", "1e308", "--liquidity", "1e308", "--premium", "1e308"],
+             "--amount is 1e+308"),
+            # inputs inside the envelope, a premium of 2.25e27 euros outside it
+            (["--q", "0.5", "--amount", "1e12", "--liquidity", "1000000000000.0002"],
+             "the quoted premium is 2.2518e+27"),
+        ],
+        ids=["amount", "all_inputs", "premium"],
+    )
+    def test_money_beyond_the_envelope_exits_2(self, capsys, argv, named):
+        code, out, err = run_cli(capsys, "quote", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {named} euros, not below 2**53 cents")
+
 
 class TestSimulate:
     def test_preset_run_writes_bundle(self, capsys, tmp_path):

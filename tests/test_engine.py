@@ -9,6 +9,7 @@ from kellypool import (
     PRESET_IDS,
     SWEEP_IDS,
     WITHDRAWAL_PERIODS,
+    CellResult,
     Invoice,
     PoolState,
     PremiumQuote,
@@ -246,8 +247,9 @@ class TestCompareWithdrawal:
         comparison = compare_withdrawal(config)
         assert comparison.no_withdrawal.metrics.total_premium_withdrawn == 0.0
         assert comparison.withdrawal.metrics.total_premium_withdrawn > 0.0
+        assert comparison.policies == ("no_withdrawal", "withdrawal")
         assert comparison.scenario_id == "baseline"
-        assert comparison.withdrawal_period_days == 30
+        assert comparison.config == config.replace(withdrawal_enabled=True)
         # same seed: both policies price the same invoice streams
         assert comparison.no_withdrawal.config.seed == comparison.withdrawal.config.seed
 
@@ -259,12 +261,22 @@ class TestCompareWithdrawal:
             assert batch.metrics.horizon_days == 250
             assert batch.metrics.avg_accepted <= 100
 
-    def test_no_invoices_gives_undefined_difference(self):
+    def test_no_invoices_gives_zero_difference(self):
         config = ScenarioConfig(n_invoices=0, n_simulations=2)
         comparison = compare_withdrawal(config)
         assert comparison.no_withdrawal.metrics.amm_profit == 0.0
         assert comparison.withdrawal.metrics.amm_profit == 0.0
-        assert comparison.profit_difference_pct is None
+        assert comparison.profit_difference_pct == 0.0
+
+    def test_cell_records_its_last_policy(self):
+        config = ScenarioConfig(n_invoices=50, n_simulations=1)
+        without, with_ = run_batches([config, config.replace(withdrawal_enabled=True)])
+        single = CellResult(no_withdrawal=without)
+        assert (single.policies, single.config) == (("no_withdrawal",), without.config)
+        assert single.profit_difference_pct is None
+        assert CellResult(without, with_).config is with_.config
+        with pytest.raises(ValueError):
+            CellResult()
 
     def test_difference_formula(self):
         config = scenario_preset("5.2", n_simulations=3, seed=5, withdrawal_period_days=30)

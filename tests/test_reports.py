@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kellypool import (
-    ReportBundle,
+    CellResult,
     ScenarioConfig,
     compare_withdrawal,
     export_bundle,
@@ -43,16 +43,16 @@ from kellypool.reports import (
 
 
 @pytest.fixture(scope="module")
-def paired_bundle():
+def paired_cell():
     config = scenario_preset("5.3", n_simulations=4, seed=31, withdrawal_period_days=30)
-    return ReportBundle.from_comparison(compare_withdrawal(config))
+    return compare_withdrawal(config)
 
 
 @pytest.fixture(scope="module")
-def single_bundle():
+def single_cell():
     config = scenario_preset("5.3", n_simulations=3, seed=8)
     batch = run_batch(config.replace(withdrawal_enabled=False))
-    return ReportBundle(scenario_id="5.3", config=batch.config, no_withdrawal=batch)
+    return CellResult(no_withdrawal=batch)
 
 
 def read_metrics_csv(path):
@@ -129,8 +129,8 @@ class TestWholeArrayRounding:
 
 
 class TestMetricsExports:
-    def test_json_structure_paired(self, paired_bundle, tmp_path):
-        path = write_metrics_json(metrics_record(paired_bundle), tmp_path / "metrics.json")
+    def test_json_structure_paired(self, paired_cell, tmp_path):
+        path = write_metrics_json(metrics_record(paired_cell), tmp_path / "metrics.json")
         record = json.loads(path.read_text())
         assert record["scenario_id"] == "5.3"
         assert record["policies"] == ["no_withdrawal", "withdrawal"]
@@ -140,25 +140,25 @@ class TestMetricsExports:
         assert isinstance(record["loss"]["withdrawal"], bool)
         assert record["config"]["seed"] == 31
 
-    def test_single_policy_omits_difference(self, single_bundle, tmp_path):
-        path = write_metrics_json(metrics_record(single_bundle), tmp_path / "m.json")
+    def test_single_policy_omits_difference(self, single_cell, tmp_path):
+        path = write_metrics_json(metrics_record(single_cell), tmp_path / "m.json")
         record = json.loads(path.read_text())
         assert record["policies"] == ["no_withdrawal"]
         assert "difference_pct" not in record["metrics"]
         assert "withdrawal" not in record["metrics"]
 
-    def test_round_trip_at_reporting_precision(self, paired_bundle, tmp_path):
-        path = write_metrics_json(metrics_record(paired_bundle), tmp_path / "m.json")
+    def test_round_trip_at_reporting_precision(self, paired_cell, tmp_path):
+        path = write_metrics_json(metrics_record(paired_cell), tmp_path / "m.json")
         record = json.loads(path.read_text())
-        metrics = paired_bundle.withdrawal.metrics
+        metrics = paired_cell.withdrawal.metrics
         for name in METRIC_FIELDS:
             stored = record["metrics"]["withdrawal"][name]
             truth = getattr(metrics, name)
             tolerance = 0.005 if name in MONEY_FIELDS else 5e-5
             assert stored == pytest.approx(truth, abs=tolerance)
 
-    def test_csv_matches_json(self, paired_bundle, tmp_path):
-        record = metrics_record(paired_bundle)
+    def test_csv_matches_json(self, paired_cell, tmp_path):
+        record = metrics_record(paired_cell)
         json_record = json.loads(write_metrics_json(record, tmp_path / "m.json").read_text())
         rows = read_metrics_csv(write_metrics_csv(record, tmp_path / "m.csv"))
         for name in METRIC_FIELDS:
@@ -167,8 +167,8 @@ class TestMetricsExports:
                     json_record["metrics"][column][name] or 0.0
                 ) or (rows[name][column] is None and json_record["metrics"][column][name] is None)
 
-    def test_difference_recomputable_from_columns(self, paired_bundle, tmp_path):
-        path = write_metrics_csv(metrics_record(paired_bundle), tmp_path / "m.csv")
+    def test_difference_recomputable_from_columns(self, paired_cell, tmp_path):
+        path = write_metrics_csv(metrics_record(paired_cell), tmp_path / "m.csv")
         rows = read_metrics_csv(path)
         for name, cells in rows.items():
             without, with_, stored = (
@@ -180,20 +180,20 @@ class TestMetricsExports:
 
 
 class TestTimeseriesExport:
-    def test_header_and_shape(self, paired_bundle, tmp_path):
-        path = write_timeseries_csv(paired_bundle.withdrawal, tmp_path / "ts.csv")
+    def test_header_and_shape(self, paired_cell, tmp_path):
+        path = write_timeseries_csv(paired_cell.withdrawal, tmp_path / "ts.csv")
         lines = path.read_text().splitlines()
         assert lines[0] == TIMESERIES_HEADER == "day,liquidity,premium,volume,withdrawn"
         assert len(lines) == 1 + 650
         assert path.read_text().endswith("\n")
 
-    def test_day_zero_row_is_initial_state(self, paired_bundle, tmp_path):
-        path = write_timeseries_csv(paired_bundle.no_withdrawal, tmp_path / "ts.csv")
+    def test_day_zero_row_is_initial_state(self, paired_cell, tmp_path):
+        path = write_timeseries_csv(paired_cell.no_withdrawal, tmp_path / "ts.csv")
         day0 = path.read_text().splitlines()[1].split(",")
         assert day0 == ["0", "10000.0", "0.0", "10000.0", "0.0"]
 
-    def test_withdrawn_column_non_decreasing(self, paired_bundle, tmp_path):
-        path = write_timeseries_csv(paired_bundle.withdrawal, tmp_path / "ts.csv")
+    def test_withdrawn_column_non_decreasing(self, paired_cell, tmp_path):
+        path = write_timeseries_csv(paired_cell.withdrawal, tmp_path / "ts.csv")
         withdrawn = [float(line.split(",")[4]) for line in path.read_text().splitlines()[1:]]
         assert all(b >= a for a, b in zip(withdrawn, withdrawn[1:]))
         assert withdrawn[-1] > 0.0
@@ -208,16 +208,16 @@ class TestTimeseriesExport:
         lines = write_timeseries_csv(batch, tmp_path / "ts.csv").read_text().splitlines()
         assert lines[1:] == ["0,-0.0,0.0,-0.0,0.0", "1,0.0,0.0,0.0,0.0", "2,1.01,0.0,1.01,0.0"]
 
-    def test_volume_is_liquidity_plus_premium(self, paired_bundle, tmp_path):
-        path = write_timeseries_csv(paired_bundle.withdrawal, tmp_path / "ts.csv")
+    def test_volume_is_liquidity_plus_premium(self, paired_cell, tmp_path):
+        path = write_timeseries_csv(paired_cell.withdrawal, tmp_path / "ts.csv")
         for line in path.read_text().splitlines()[1:]:
             _, liq, prem, vol, _ = (float(x) for x in line.split(","))
             assert vol == pytest.approx(liq + prem, abs=0.02)
 
 
 class TestRunsExport:
-    def test_one_row_per_simulation(self, paired_bundle, tmp_path):
-        path = write_runs_csv(paired_bundle.withdrawal, tmp_path / "runs.csv")
+    def test_one_row_per_simulation(self, paired_cell, tmp_path):
+        path = write_runs_csv(paired_cell.withdrawal, tmp_path / "runs.csv")
         lines = path.read_text().splitlines()
         assert lines[0].split(",")[:2] == ["sim_index", "n_simulations"]
         assert len(lines) == 1 + 4
@@ -227,15 +227,14 @@ class TestIntegerFields:
     """A metric that holds the int 0 (nothing accepted) is written as 0, a float as 0.0."""
 
     @pytest.fixture
-    def bundle(self):
+    def cell(self):
         batch = _stub_batch(0.0)
         metrics = dataclasses.replace(batch.metrics, total_collateral_covered=0, avg_loss=0)
         batch = BatchResult(batch.config, metrics, batch.mean_series, (metrics,))
-        return ReportBundle(scenario_id="stub", config=batch.config,
-                            no_withdrawal=batch, withdrawal=batch)
+        return CellResult(no_withdrawal=batch, withdrawal=batch)
 
-    def test_metrics_json_keeps_int_zero(self, bundle, tmp_path):
-        export_bundle(bundle, tmp_path)
+    def test_metrics_json_keeps_int_zero(self, cell, tmp_path):
+        export_bundle(cell, tmp_path)
         text = (tmp_path / "metrics.json").read_text()
         assert '"total_collateral_covered": 0,' in text
         assert '"remaining_premium": 0.0,' in text
@@ -244,8 +243,8 @@ class TestIntegerFields:
         assert type(record["avg_loss"]) is int
         assert type(record["avg_accepted"]) is float
 
-    def test_csv_files_keep_int_zero(self, bundle, tmp_path):
-        export_bundle(bundle, tmp_path)
+    def test_csv_files_keep_int_zero(self, cell, tmp_path):
+        export_bundle(cell, tmp_path)
         runs = (tmp_path / "runs_withdrawal.csv").read_text().splitlines()
         row = dict(zip(runs[0].split(","), runs[1].split(",")))
         assert row["total_collateral_covered"] == "0"
@@ -256,8 +255,8 @@ class TestIntegerFields:
 
 
 class TestExportBundle:
-    def test_writes_full_file_set(self, paired_bundle, tmp_path):
-        written = export_bundle(paired_bundle, tmp_path / "cell")
+    def test_writes_full_file_set(self, paired_cell, tmp_path):
+        written = export_bundle(paired_cell, tmp_path / "cell")
         names = sorted(p.name for p in written)
         assert names == [
             "config.json",
@@ -272,18 +271,18 @@ class TestExportBundle:
         leftovers = [p for p in (tmp_path / "cell").iterdir() if p.name.startswith("tmp")]
         assert leftovers == []
 
-    def test_config_snapshot_reproduces_batch(self, paired_bundle, tmp_path):
-        export_bundle(paired_bundle, tmp_path / "cell")
+    def test_config_snapshot_reproduces_batch(self, paired_cell, tmp_path):
+        export_bundle(paired_cell, tmp_path / "cell")
         snapshot = json.loads((tmp_path / "cell" / "config.json").read_text())
         config = ScenarioConfig.from_dict(snapshot["config"])
         rerun = run_batch(config.replace(withdrawal_enabled=False))
-        assert rerun.metrics == paired_bundle.no_withdrawal.metrics
+        assert rerun.metrics == paired_cell.no_withdrawal.metrics
 
     def test_config_written_last_and_other_policy_removed(
-        self, paired_bundle, single_bundle, tmp_path, monkeypatch
+        self, paired_cell, single_cell, tmp_path, monkeypatch
     ):
         cell = tmp_path / "cell"
-        export_bundle(paired_bundle, cell)
+        export_bundle(paired_cell, cell)
         original, written = reports._atomic_write, []
 
         def record_write(path, text):
@@ -292,7 +291,7 @@ class TestExportBundle:
             return original(path, text)
 
         monkeypatch.setattr(reports, "_atomic_write", record_write)
-        export_bundle(single_bundle, cell)
+        export_bundle(single_cell, cell)
         assert written == [
             ("metrics.json", False),
             ("metrics.csv", False),
@@ -305,12 +304,12 @@ class TestExportBundle:
             "runs_no_withdrawal.csv", "timeseries_no_withdrawal.csv",
         ]
 
-    def test_cell_is_complete(self, paired_bundle, tmp_path):
+    def test_cell_is_complete(self, paired_cell, tmp_path):
         cell = tmp_path / "cell"
-        policies, config = paired_bundle.policies, paired_bundle.config
+        policies, config = paired_cell.policies, paired_cell.config
         assert complete_cell_record(cell, policies, config) is None
-        export_bundle(paired_bundle, cell)
-        assert complete_cell_record(cell, policies, config) == metrics_record(paired_bundle)
+        export_bundle(paired_cell, cell)
+        assert complete_cell_record(cell, policies, config) == metrics_record(paired_cell)
         assert complete_cell_record(cell, policies, config.replace(seed=config.seed + 1)) is None
         assert complete_cell_record(cell, ("withdrawal",), config) is None
         (cell / "runs_no_withdrawal.csv").unlink()
@@ -332,14 +331,14 @@ class TestExportBundle:
              "bool_difference", "no_profit", "list_column"],
     )
     def test_metrics_record_that_does_not_match_is_incomplete(
-        self, paired_bundle, tmp_path, damage
+        self, paired_cell, tmp_path, damage
     ):
         cell = tmp_path / "cell"
-        export_bundle(paired_bundle, cell)
-        record = metrics_record(paired_bundle)
+        export_bundle(paired_cell, cell)
+        record = metrics_record(paired_cell)
         damage(record)
         (cell / "metrics.json").write_text(json.dumps(record), encoding="utf-8")
-        assert complete_cell_record(cell, paired_bundle.policies, paired_bundle.config) is None
+        assert complete_cell_record(cell, paired_cell.policies, paired_cell.config) is None
 
 
 def _stub_batch(profit, scenario_id="stub", period=30):
@@ -362,13 +361,8 @@ def _stub_batch(profit, scenario_id="stub", period=30):
 
 class TestDiffReport:
     def test_identical_bundles_give_zero_difference(self, tmp_path):
-        bundle = ReportBundle(
-            scenario_id="stub",
-            config=_stub_batch(100.0).config,
-            no_withdrawal=_stub_batch(100.0),
-            withdrawal=_stub_batch(100.0),
-        )
-        path = write_diff_rows(diff_report_rows([bundle]), tmp_path / "diff.csv")
+        cell = CellResult(no_withdrawal=_stub_batch(100.0), withdrawal=_stub_batch(100.0))
+        path = write_diff_rows(diff_report_rows([cell]), tmp_path / "diff.csv")
         lines = path.read_text().splitlines()
         assert lines[1].split(",")[0] == "scenario_id"
         row = dict(zip(lines[1].split(","), lines[2].split(",")))
@@ -376,13 +370,8 @@ class TestDiffReport:
         assert row["sign_change"] == "False"
 
     def test_sign_flip_flagged(self, tmp_path):
-        bundle = ReportBundle(
-            scenario_id="flip",
-            config=_stub_batch(-500.0).config,
-            no_withdrawal=_stub_batch(-500.0),
-            withdrawal=_stub_batch(2_000.0),
-        )
-        path = write_diff_rows(diff_report_rows([bundle]), tmp_path / "diff.csv")
+        cell = CellResult(no_withdrawal=_stub_batch(-500.0), withdrawal=_stub_batch(2_000.0))
+        path = write_diff_rows(diff_report_rows([cell]), tmp_path / "diff.csv")
         row_cells = path.read_text().splitlines()[2].split(",")
         header = path.read_text().splitlines()[1].split(",")
         row = dict(zip(header, row_cells))
@@ -392,25 +381,31 @@ class TestDiffReport:
         assert float(row["difference_pct"]) == pytest.approx(500.0)
 
     def test_zero_base_follows_the_metrics_record(self):
-        comparison = compare_withdrawal(ScenarioConfig(n_invoices=0, n_simulations=2))
-        bundle = ReportBundle.from_comparison(comparison)
-        assert metrics_record(bundle)["metrics"]["difference_pct"]["amm_profit"] == 0.0
-        (row,) = diff_report_rows([bundle])
+        cell = compare_withdrawal(ScenarioConfig(n_invoices=0, n_simulations=2))
+        assert metrics_record(cell)["metrics"]["difference_pct"]["amm_profit"] == 0.0
+        (row,) = diff_report_rows([cell])
         assert (row["profit_no_withdrawal"], row["profit_withdrawal"]) == (0.0, 0.0)
         assert row["difference_pct"] == 0.0
 
-    def test_single_policy_bundles_skipped(self, single_bundle, tmp_path):
+    def test_zero_base_alone_leaves_the_difference_undefined(self):
+        cell = CellResult(no_withdrawal=_stub_batch(0.0), withdrawal=_stub_batch(50.0))
+        assert cell.profit_difference_pct is None
+        assert metrics_record(cell)["metrics"]["difference_pct"]["amm_profit"] is None
+        (row,) = diff_report_rows([cell])
+        assert row["difference_pct"] is None
+
+    def test_single_policy_bundles_skipped(self, single_cell, tmp_path):
         with pytest.raises(ValueError):
-            write_diff_rows(diff_report_rows([single_bundle]), tmp_path / "diff.csv")
+            write_diff_rows(diff_report_rows([single_cell]), tmp_path / "diff.csv")
 
 
 class TestFormatSummary:
-    def test_contains_columns_and_fields(self, paired_bundle):
-        text = format_summary(paired_bundle)
+    def test_contains_columns_and_fields(self, paired_cell):
+        text = format_summary(paired_cell)
         assert "no_withdrawal" in text and "withdrawal" in text
         for name in ("pct_accepted", "amm_profit_pct", "final_volume"):
             assert name in text
 
     def test_bundle_requires_a_policy(self):
         with pytest.raises(ValueError):
-            ReportBundle(scenario_id="x", config=ScenarioConfig())
+            CellResult()
