@@ -106,6 +106,8 @@ def cmd_quote(args: argparse.Namespace) -> int:
             raise ConfigError(f"--{flag} must be a finite number, got {value}")
         if flag != "q":
             _check_money(f"--{flag}", value)
+        if flag in ("liquidity", "premium") and value < 0:
+            raise ConfigError(f"--{flag} must not be negative, got {value}")
     pool = PoolState(liquidity=args.liquidity, premium_reserve=args.premium)
     try:
         quote = quote_premium(args.q, args.amount, pool)

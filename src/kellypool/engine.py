@@ -175,7 +175,7 @@ def run_simulation(config: ScenarioConfig, sim_index: int = 0) -> SimulationResu
     rng = simulation_rng(config.seed, sim_index)
     invoices = generate_stream(config, rng)
     horizon = config.horizon_days
-    deposits = lp_contribution_schedule(config, horizon, rng)
+    deposits = lp_contribution_schedule(config, rng)
 
     pool = PoolState(
         liquidity=config.initial_collateral, premium_reserve=config.initial_premium

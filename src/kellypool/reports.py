@@ -6,8 +6,10 @@ withdrawn``.  Money fields are rounded half-up to 2 decimals, every
 other numeric field to 4 decimals, always UTF-8 and newline-terminated.
 Rounding is half-up on the decimal ``repr`` of a value: ``round_money``
 and ``round_fraction`` do it one value at a time through ``Decimal`` and
-are the reference.  The exporters round whole arrays at once
-(``_rounded``, ``_rounded_texts``) to the same floats and the same text.
+are the reference.  The exporters round whole arrays at once to the
+same floats (``_rounded``); the metrics record and the per-run rows take
+their values from ``_rounded_metric_rows``, and the money time series
+builds its text from integers (``_money_texts``).
 The policy-difference column follows ``100 * (withdrawal -
 no_withdrawal) / |no_withdrawal|`` computed from the rounded columns.
 It is left empty only when the no-withdrawal value is zero and the
@@ -19,7 +21,6 @@ holds its full file set and hand back its metrics record.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import tempfile
@@ -63,12 +64,8 @@ def round_fraction(value: float) -> float:
 
 _MONEY_SCALE = 100
 _FRACTION_SCALE = 10_000
-
-
-@functools.cache
-def _decimals() -> tuple[str, ...]:
-    """The decimal places of d / 10,000 as ``repr`` writes them: ".0", ".0001", ..., ".9999"."""
-    return (".0", *(f".{d:04d}".rstrip("0") for d in range(1, _FRACTION_SCALE)))
+# The cents of c / 100 as ``repr`` writes them: ".0", ".01", ..., ".99".
+_CENTS = (".0", *(f".{c:02d}".rstrip("0") for c in range(1, _MONEY_SCALE)))
 
 
 def _half_up(values, scale):
@@ -97,41 +94,34 @@ def _half_up(values, scale):
     return x, scale, k, unsure
 
 
-def _reference(x: np.ndarray, scale: np.ndarray, index: tuple) -> float:
-    reference = round_money if scale[index] == _MONEY_SCALE else round_fraction
-    return reference(float(x[index]))
-
-
 def _rounded(values, scale) -> list:
     """``round_money`` or ``round_fraction`` of every value, as nested lists of floats."""
     x, scale, k, unsure = _half_up(values, scale)
     rounded = np.copysign(k / scale, x)
     for index in zip(*np.nonzero(unsure)):
-        rounded[index] = _reference(x, scale, index)
+        reference = round_money if scale[index] == _MONEY_SCALE else round_fraction
+        rounded[index] = reference(float(x[index]))
     return rounded.tolist()
 
 
-def _rounded_texts(table, scale) -> list[list[str]]:
-    """``repr`` of every rounded value of a 2-D table, column by column.
+def _money_texts(table) -> list[list[str]]:
+    """``repr`` of every ``round_money`` value of a 2-D table, column by column.
 
-    Written from ``k``: below 2**50 / scale, ``repr(k / scale)`` is the
-    decimal ``k / scale`` with its trailing zeros stripped and at least
-    one decimal place kept, because neighbouring doubles there lie much
-    closer together than one step of the last decimal.
+    Written from ``k``: below 2**50 / 100, ``repr(k / 100)`` is the
+    decimal ``k / 100`` with its trailing zeros stripped and at least one
+    decimal place kept, because neighbouring doubles there lie much
+    closer together than one cent.
     """
-    x, scale, k, unsure = _half_up(table, scale)
-    scale = scale.astype(np.int64)
-    whole, part = np.divmod(np.where(unsure, 0.0, k).astype(np.int64), scale)
-    decimals = part * (_FRACTION_SCALE // scale)
-    texts = _decimals()
+    x, _, k, unsure = _half_up(table, _MONEY_SCALE)
+    whole, cents = np.divmod(np.where(unsure, 0.0, k).astype(np.int64), _MONEY_SCALE)
     columns = [
-        [f"{w}{texts[d]}" for w, d in zip(whole_column, decimals_column)]
-        for whole_column, decimals_column in zip(whole.T.tolist(), decimals.T.tolist())
+        [f"{w}{_CENTS[c]}" for w, c in zip(whole_column, cents_column)]
+        for whole_column, cents_column in zip(whole.T.tolist(), cents.T.tolist())
     ]
     for i, j in zip(*np.nonzero(np.signbit(x) & ~unsure)):
         columns[j][i] = "-" + columns[j][i]
     for i, j in zip(*np.nonzero(unsure)):
-        columns[j][i] = repr(_reference(x, scale, (i, j)))
+        columns[j][i] = repr(round_money(float(x[i, j])))
     return columns
 
 
@@ -198,6 +188,14 @@ def _atomic_write(path: str | Path, text: str) -> Path:
     return path
 
 
+def _write_rows(path: str | Path, header_lines: list[str], rows) -> Path:
+    """CSV lines after ``header_lines``: None as an empty field, any other value as its ``str``."""
+    lines = list(header_lines)
+    for row in rows:
+        lines.append(",".join("" if value is None else str(value) for value in row))
+    return _atomic_write(path, "\n".join(lines) + "\n")
+
+
 def metrics_record(cell: CellResult) -> dict:
     """Metrics for every policy ran, plus the difference column when paired."""
     record = {
@@ -233,19 +231,16 @@ def write_metrics_json(record: dict, path: str | Path) -> Path:
 
 def write_metrics_csv(record: dict, path: str | Path) -> Path:
     """The metric grid of a metrics record, one row per metric."""
-    lines = [f"# difference_pct = {DIFFERENCE_CONVENTION}", "metric," + ",".join(record["metrics"])]
-    for name, values in _metric_rows(record):
-        lines.append(f"{name}," + ",".join("" if v is None else repr(v) for v in values))
-    return _atomic_write(path, "\n".join(lines) + "\n")
+    header = [f"# difference_pct = {DIFFERENCE_CONVENTION}", "metric," + ",".join(record["metrics"])]
+    return _write_rows(path, header, ([name, *values] for name, values in _metric_rows(record)))
 
 
 def write_timeseries_csv(batch: BatchResult, path: str | Path) -> Path:
     """One row per day of the (mean) trajectory; the premium column is the reserve."""
     series = batch.mean_series
-    columns = _rounded_texts(
+    columns = _money_texts(
         np.stack([series.liquidity, series.premium_reserve, series.volume,
-                  series.cumulative_withdrawn], axis=1),
-        _MONEY_SCALE,
+                  series.cumulative_withdrawn], axis=1)
     )
     lines = [TIMESERIES_HEADER]
     lines.extend(map(",".join, zip(map(str, range(len(series))), *columns)))
@@ -254,14 +249,9 @@ def write_timeseries_csv(batch: BatchResult, path: str | Path) -> Path:
 
 def write_runs_csv(batch: BatchResult, path: str | Path) -> Path:
     """Per-simulation metrics table for dispersion analysis."""
-    rows = [_metric_values(m) for m in batch.per_run]
-    columns = [
-        [str(value) if isinstance(value, int) else text for value, text in zip(values, texts)]
-        for values, texts in zip(zip(*rows), _rounded_texts(rows, _METRIC_SCALES))
-    ]
-    lines = ["sim_index," + ",".join(METRIC_FIELDS)]
-    lines.extend(map(",".join, zip(map(str, range(len(rows))), *columns)))
-    return _atomic_write(path, "\n".join(lines) + "\n")
+    rows = _rounded_metric_rows(batch.per_run)
+    return _write_rows(path, ["sim_index," + ",".join(METRIC_FIELDS)],
+                       ([i, *row] for i, row in enumerate(rows)))
 
 
 def config_record(policies: tuple[str, ...], config: ScenarioConfig) -> dict:
@@ -346,7 +336,7 @@ def complete_cell_record(
         if _read_json(directory / "config.json") != expected:
             return None
         record = _read_json(directory / "metrics.json")
-    except (OSError, ValueError):
+    except (OSError, ValueError, RecursionError):
         return None
     if not _holds_diff_values(record, {"scenario_id": config.scenario_id, **expected}):
         return None
@@ -389,11 +379,8 @@ def write_diff_rows(rows: list[dict], path: str | Path) -> Path:
     if not rows:
         raise ValueError("diff report needs at least one paired cell")
     columns = list(rows[0])
-    lines = [f"# difference_pct = {DIFFERENCE_CONVENTION}", ",".join(columns)]
-    for row in rows:
-        cells = ["" if row[c] is None else str(row[c]) for c in columns]
-        lines.append(",".join(cells))
-    return _atomic_write(path, "\n".join(lines) + "\n")
+    header = [f"# difference_pct = {DIFFERENCE_CONVENTION}", ",".join(columns)]
+    return _write_rows(path, header, ([row[c] for c in columns] for row in rows))
 
 
 def format_summary(cell: CellResult) -> str:

@@ -233,7 +233,8 @@ class ScenarioConfig:
     def from_json_file(cls, path: str | Path) -> "ScenarioConfig":
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        # JSONDecodeError or UnicodeDecodeError; RecursionError on deeply nested text
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: config file must hold a JSON object")
@@ -339,16 +340,15 @@ def generate_stream(config: ScenarioConfig, rng: np.random.Generator) -> list[In
     return [generate_invoice(day, config, rng) for day in range(config.n_invoices)]
 
 
-def lp_contribution_schedule(
-    config: ScenarioConfig, horizon_days: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Per-day liquidity-provider deposits over the whole horizon.
+def lp_contribution_schedule(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
+    """Per-day liquidity-provider deposits over the config's whole horizon.
 
     Each day contributes with the configured probability; the amount is
     uniform in [0, cap] or exactly the cap in fixed mode.  Returns zeros
     without consuming randomness when contributions are disabled.
     """
     cap = config.lp_cap_fraction * config.initial_collateral
+    horizon_days = config.horizon_days
     if config.lp_contribution_probability <= 0.0 or cap <= 0.0:
         return np.zeros(horizon_days)
     occurs = rng.random(horizon_days) < config.lp_contribution_probability
@@ -502,4 +502,4 @@ def _fill_from_generator(
     streams.defaults[row] = [inv.defaults for inv in invoices]
     streams.delay[row] = [inv.payment_delay_days for inv in invoices]
     if streams.deposits is not None:
-        streams.deposits[row] = lp_contribution_schedule(config, config.horizon_days, rng)
+        streams.deposits[row] = lp_contribution_schedule(config, rng)

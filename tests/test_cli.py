@@ -9,6 +9,9 @@ import pytest
 from kellypool import reports
 from kellypool.cli import main
 
+# JSON text nested too deeply for the parser: json.loads raises RecursionError.
+DEEPLY_NESTED = "[" * 200_000 + "]" * 200_000
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -77,6 +80,20 @@ class TestQuote:
         code, out, err = run_cli(capsys, "quote", *argv)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {named} euros, not below 2**53 cents")
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--liquidity=-500", "--premium", "1000"], "--liquidity"),
+            # a reserve sum of 1e7 euros from a negative premium reserve
+            (["--liquidity", "1e13", "--premium=-9.99999e12"], "--premium"),
+        ],
+        ids=["liquidity", "premium"],
+    )
+    def test_negative_reserve_exits_2(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, "quote", "--q", "0.4", "--amount", "100", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {flag} must not be negative")
 
 
 class TestSimulate:
@@ -193,6 +210,7 @@ class TestSimulate:
         for content, message in (
             (json.dumps({"n_invoices": 5, "bogus_field": 1}).encode(), "unknown config fields"),
             (b'{"scenario_id": "caf\xe9"}', "UTF-8"),
+            (DEEPLY_NESTED.encode(), "not valid UTF-8 JSON"),
         ):
             config_path.write_bytes(content)
             code, _, err = run_cli(
@@ -440,12 +458,17 @@ class TestSweep:
         for name in names:
             assert (cell / name).read_bytes() == (alone / "2.3_p30" / name).read_bytes(), name
 
-    @pytest.mark.parametrize("damage", ["truncated", "foreign", "non_utf8"])
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "foreign", "non_utf8", "deeply_nested", "deeply_nested_config"]
+    )
     def test_damaged_metrics_record_is_recomputed(self, sims1_dir, capsys, tmp_path, damage):
         out = tmp_path / "sweep"
         shutil.copytree(sims1_dir, out)
         path = out / "2.3_p30" / "metrics.json"
-        if damage == "truncated":
+        if damage.startswith("deeply_nested"):
+            damaged = path.with_name("config.json") if damage.endswith("config") else path
+            damaged.write_text(DEEPLY_NESTED, encoding="utf-8")
+        elif damage == "truncated":
             path.write_text('{"trunc', encoding="utf-8")
         elif damage == "foreign":
             assert main(["simulate", "--scenario", "2.3", "--sims", "1", "--seed", "5",

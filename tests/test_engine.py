@@ -171,7 +171,7 @@ class TestRunSimulation:
         for sim_index in range(3):
             rng = simulation_rng(config.seed, sim_index)
             invoices = generate_stream(config, rng)
-            deposits = lp_contribution_schedule(config, config.horizon_days, rng)
+            deposits = lp_contribution_schedule(config, rng)
             pool = PoolState(liquidity=config.initial_collateral)
             due = {}
             for day in range(config.horizon_days):

@@ -34,8 +34,8 @@ from kellypool.reports import (
     METRIC_FIELDS,
     MONEY_FIELDS,
     TIMESERIES_HEADER,
+    _money_texts,
     _rounded,
-    _rounded_texts,
     complete_cell_record,
     diff_report_rows,
     write_diff_rows,
@@ -103,13 +103,13 @@ class TestWholeArrayRounding:
         # one column mixes values rounded in whole-array form and by the reference
         for scale, reference in SCALES:
             expected = [repr(reference(x)) for x in TIE_CASES]
-            assert _rounded_texts(np.array(TIE_CASES)[:, None], scale)[0] == expected
             assert list(map(repr, _rounded(TIE_CASES, scale))) == expected
+        money = [repr(round_money(x)) for x in TIE_CASES]
+        assert _money_texts(np.array(TIE_CASES)[:, None])[0] == money
 
     def test_scale_per_column(self):
         table = np.array([[2.675, 0.37895], [-0.001, -0.00005]])
         scales = np.array([_MONEY_SCALE, _FRACTION_SCALE])
-        assert _rounded_texts(table, scales) == [["2.68", "-0.0"], ["0.379", "-0.0001"]]
         assert _rounded(table, scales) == [[2.68, 0.379], [-0.0, -0.0001]]
 
     @settings(max_examples=500)
@@ -117,15 +117,17 @@ class TestWholeArrayRounding:
     def test_any_float(self, x):
         for scale, reference in SCALES:
             expected = _outcome(lambda: repr(reference(x)))
-            assert _outcome(lambda: _rounded_texts([[x]], scale)[0][0]) == expected
             assert _outcome(lambda: repr(_rounded([x], scale)[0])) == expected
+        expected = _outcome(lambda: repr(round_money(x)))
+        assert _outcome(lambda: _money_texts([[x]])[0][0]) == expected
 
     @given(st.lists(st.floats(min_value=-1e12, max_value=1e12), min_size=1, max_size=40))
     def test_any_column(self, values):
         for scale, reference in SCALES:
             expected = [repr(reference(x)) for x in values]
-            assert _rounded_texts(np.array(values)[:, None], scale)[0] == expected
             assert list(map(repr, _rounded(values, scale))) == expected
+        money = [repr(round_money(x)) for x in values]
+        assert _money_texts(np.array(values)[:, None])[0] == money
 
 
 class TestMetricsExports:

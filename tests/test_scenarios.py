@@ -296,13 +296,13 @@ class TestLpSchedule:
         config = ScenarioConfig()
         rng = simulation_rng(1, 0)
         before = rng.bit_generator.state
-        schedule = lp_contribution_schedule(config, 650, rng)
+        schedule = lp_contribution_schedule(config, rng)
         assert np.all(schedule == 0.0)
         assert rng.bit_generator.state == before
 
     def test_uniform_mode_bounded_by_cap(self):
         config = scenario_preset("1.4")  # cap 25% of 10,000
-        schedule = lp_contribution_schedule(config, 650, simulation_rng(1, 0))
+        schedule = lp_contribution_schedule(config, simulation_rng(1, 0))
         assert schedule.max() <= 2_500.0
         assert schedule.min() >= 0.0
         active = (schedule > 0).mean()
@@ -310,14 +310,14 @@ class TestLpSchedule:
 
     def test_fixed_mode_deposits_cap_exactly(self):
         config = scenario_preset("1.2", lp_contribution_mode="fixed")
-        schedule = lp_contribution_schedule(config, 650, simulation_rng(1, 0))
+        schedule = lp_contribution_schedule(config, simulation_rng(1, 0))
         contributing = schedule[schedule > 0]
         assert np.all(contributing == 500.0)
 
     def test_deterministic(self):
         config = scenario_preset("1.1", seed=9)
-        first = lp_contribution_schedule(config, 650, simulation_rng(9, 2))
-        second = lp_contribution_schedule(config, 650, simulation_rng(9, 2))
+        first = lp_contribution_schedule(config, simulation_rng(9, 2))
+        second = lp_contribution_schedule(config, simulation_rng(9, 2))
         assert np.array_equal(first, second)
 
 
@@ -333,7 +333,7 @@ def reference_streams(config, sim_indices, with_deposits=True):
         invoices = generate_stream(config, rng)
         deposits = None
         if with_deposits:
-            deposits = lp_contribution_schedule(config, config.horizon_days, rng)
+            deposits = lp_contribution_schedule(config, rng)
         out.append((invoices, deposits))
     return out
 
