@@ -45,10 +45,6 @@ from .reports import (
     metrics_record,
     round_fraction,
     round_money,
-    write_metrics_csv,
-    write_metrics_json,
-    write_runs_csv,
-    write_timeseries_csv,
 )
 from .scenarios import (
     PRESET_IDS,

@@ -123,16 +123,27 @@ class PoolState:
         return self.liquidity + self.premium_reserve
 
 
-def _add(pool: PoolState, name: str, delta: float) -> None:
-    """Accumulate with a Neumaier carry of the rounding error."""
-    value = getattr(pool, name)
-    total = value + delta
-    if abs(value) >= abs(delta):
-        error = (value - total) + delta
-    else:
-        error = (delta - total) + value
+def two_sum(a, b):
+    """``a + b`` as rounded, and the exact error of that rounding.
+
+    Branch-free TwoSum on floats or numpy arrays alike, so the scalar
+    ledger and the lanes book the same errors.
+    """
+    total = a + b
+    back = total - a
+    return total, (a - (total - back)) + (b - back)
+
+
+def _book(pool: PoolState, name: str, error: float) -> None:
+    """Add a rounding error to the carry of accumulator ``name``."""
     if error != 0.0:
         pool._carry[name] = pool._carry.get(name, 0.0) + error
+
+
+def _add(pool: PoolState, name: str, delta: float) -> None:
+    """Accumulate, booking the rounding error in the carry."""
+    total, error = two_sum(getattr(pool, name), delta)
+    _book(pool, name, error)
     setattr(pool, name, total)
 
 
@@ -201,18 +212,18 @@ def accept_invoice(pool: PoolState, invoice: Invoice) -> PremiumQuote | Rejectio
         return Rejection(RejectionReason.INSUFFICIENT_FUNDS)
 
     from_liquidity = min(pool.liquidity, demanded)
-    from_premium = demanded - from_liquidity
+    from_premium, error = two_sum(demanded, -from_liquidity)
     _add(pool, "cumulative_premium_collected", quote.premium)
     _add(pool, "premium_reserve", quote.premium)
     _add(pool, "premium_reserve", -from_premium)
+    # the reserve pays demanded - from_liquidity exactly, from_premium as rounded
+    _book(pool, "premium_reserve", -error)
     _add(pool, "liquidity", -from_liquidity)
     _add(pool, "outstanding_lent", demanded)
     if pool.premium_reserve < 0.0:
         # float corner when the payout empties the reserve; park the dust
         # in the carry so the conservation identity stays exact
-        pool._carry["premium_reserve"] = (
-            pool._carry.get("premium_reserve", 0.0) + pool.premium_reserve
-        )
+        _book(pool, "premium_reserve", pool.premium_reserve)
         pool.premium_reserve = 0.0
     invoice.accepted = True
     invoice.acceptance_day = pool.day

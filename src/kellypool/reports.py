@@ -13,10 +13,12 @@ builds its text from integers (``_money_texts``).
 The policy-difference column follows ``100 * (withdrawal -
 no_withdrawal) / |no_withdrawal|`` computed from the rounded columns.
 It is left empty only when the no-withdrawal value is zero and the
-withdrawal value is not; when both are zero it is ``0.0``.  All files
-are written atomically (temp file plus rename), and a cell's
-``config.json`` last, so ``complete_cell_record`` can tell a cell that
-holds its full file set and hand back its metrics record.
+withdrawal value is not; when both are zero it is ``0.0``.
+A cell's file set is one table of file name to text (``_cell_texts``),
+which ``export_bundle`` writes into the cell directory.  Every file is
+written atomically (temp file plus rename), and ``config.json`` last,
+so ``complete_cell_record`` can tell a cell that holds its full file
+set and hand back its metrics record.
 """
 
 from __future__ import annotations
@@ -169,31 +171,28 @@ class ReportBundle(CellResult):
         return comparison
 
 
-def _atomic_write(path: str | Path, text: str) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    handle = tempfile.NamedTemporaryFile(
-        "w", encoding="utf-8", newline="", dir=path.parent, delete=False
-    )
+def _atomic_write(path: Path, text: str) -> Path:
+    """Write ``text`` to ``path`` through a temp file in its directory, then rename."""
+    fd, temp = tempfile.mkstemp(dir=path.parent)
     try:
-        with handle:
+        with open(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-        os.replace(handle.name, path)
+        os.replace(temp, path)
     except OSError:
         try:
-            os.unlink(handle.name)
+            os.unlink(temp)
         except OSError:
             pass
         raise
     return path
 
 
-def _write_rows(path: str | Path, header_lines: list[str], rows) -> Path:
+def _csv_text(header_lines: list[str], rows) -> str:
     """CSV lines after ``header_lines``: None as an empty field, any other value as its ``str``."""
     lines = list(header_lines)
     for row in rows:
         lines.append(",".join("" if value is None else str(value) for value in row))
-    return _atomic_write(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def metrics_record(cell: CellResult) -> dict:
@@ -224,18 +223,7 @@ def _metric_rows(record: dict) -> Iterator[tuple[str, list]]:
         yield name, [column[name] for column in record["metrics"].values()]
 
 
-def write_metrics_json(record: dict, path: str | Path) -> Path:
-    """A metrics record, or the ``config_record`` of ``config.json``, as indented JSON."""
-    return _atomic_write(path, json.dumps(record, indent=2) + "\n")
-
-
-def write_metrics_csv(record: dict, path: str | Path) -> Path:
-    """The metric grid of a metrics record, one row per metric."""
-    header = [f"# difference_pct = {DIFFERENCE_CONVENTION}", "metric," + ",".join(record["metrics"])]
-    return _write_rows(path, header, ([name, *values] for name, values in _metric_rows(record)))
-
-
-def write_timeseries_csv(batch: BatchResult, path: str | Path) -> Path:
+def _timeseries_text(batch: BatchResult) -> str:
     """One row per day of the (mean) trajectory; the premium column is the reserve."""
     series = batch.mean_series
     columns = _money_texts(
@@ -244,19 +232,33 @@ def write_timeseries_csv(batch: BatchResult, path: str | Path) -> Path:
     )
     lines = [TIMESERIES_HEADER]
     lines.extend(map(",".join, zip(map(str, range(len(series))), *columns)))
-    return _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def write_runs_csv(batch: BatchResult, path: str | Path) -> Path:
-    """Per-simulation metrics table for dispersion analysis."""
-    rows = _rounded_metric_rows(batch.per_run)
-    return _write_rows(path, ["sim_index," + ",".join(METRIC_FIELDS)],
-                       ([i, *row] for i, row in enumerate(rows)))
+    return "\n".join(lines) + "\n"
 
 
 def config_record(policies: tuple[str, ...], config: ScenarioConfig) -> dict:
     """Contents of ``config.json``; a cell is complete only on an equal record."""
     return {"policies": list(policies), "config": config.to_dict()}
+
+
+def _cell_texts(cell: CellResult) -> dict[str, str]:
+    """A cell's files by name, in write order, each with its text; ``config.json`` last."""
+    record = metrics_record(cell)
+    grid = ([name, *values] for name, values in _metric_rows(record))
+    texts = {
+        "metrics.json": json.dumps(record, indent=2) + "\n",
+        "metrics.csv": _csv_text(
+            [f"# difference_pct = {DIFFERENCE_CONVENTION}", "metric," + ",".join(record["metrics"])],
+            grid,
+        ),
+    }
+    for name in cell.policies:
+        batch: BatchResult = getattr(cell, name)
+        texts[f"timeseries_{name}.csv"] = _timeseries_text(batch)
+        rows = _rounded_metric_rows(batch.per_run)
+        texts[f"runs_{name}.csv"] = _csv_text(["sim_index," + ",".join(METRIC_FIELDS)],
+                                              ([i, *row] for i, row in enumerate(rows)))
+    texts["config.json"] = json.dumps(config_record(cell.policies, cell.config), indent=2) + "\n"
+    return texts
 
 
 def _cell_files(policies: tuple[str, ...]) -> set[str]:
@@ -266,7 +268,7 @@ def _cell_files(policies: tuple[str, ...]) -> set[str]:
 
 
 def export_bundle(cell: CellResult, directory: str | Path) -> list[Path]:
-    """Write the file set of one scenario cell into ``directory``.
+    """Write the file set of one scenario cell into ``directory``; return the paths in write order.
 
     ``metrics.json`` is the record the diff report reads, ``metrics.csv``
     holds the same metric grid, and each policy adds its
@@ -276,21 +278,11 @@ def export_bundle(cell: CellResult, directory: str | Path) -> list[Path]:
     last, it only stands beside a complete file set of the run it records.
     """
     directory = Path(directory)
-    commit = directory / "config.json"
-    commit.unlink(missing_ok=True)
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / "config.json").unlink(missing_ok=True)
     for stale in _cell_files(POLICIES) - _cell_files(cell.policies):
         (directory / stale).unlink(missing_ok=True)
-    record = metrics_record(cell)
-    written = [
-        write_metrics_json(record, directory / "metrics.json"),
-        write_metrics_csv(record, directory / "metrics.csv"),
-    ]
-    for name in cell.policies:
-        batch: BatchResult = getattr(cell, name)
-        written.append(write_timeseries_csv(batch, directory / f"timeseries_{name}.csv"))
-        written.append(write_runs_csv(batch, directory / f"runs_{name}.csv"))
-    written.append(write_metrics_json(config_record(cell.policies, cell.config), commit))
-    return written
+    return [_atomic_write(directory / name, text) for name, text in _cell_texts(cell).items()]
 
 
 def _read_json(path: Path):
@@ -375,12 +367,12 @@ def diff_row_from_metrics_record(record: dict) -> dict | None:
 
 
 def write_diff_rows(rows: list[dict], path: str | Path) -> Path:
-    """Cross-scenario comparison of profit with and without withdrawal."""
+    """Cross-scenario comparison of profit with and without withdrawal, into an existing directory."""
     if not rows:
         raise ValueError("diff report needs at least one paired cell")
     columns = list(rows[0])
     header = [f"# difference_pct = {DIFFERENCE_CONVENTION}", ",".join(columns)]
-    return _write_rows(path, header, ([row[c] for c in columns] for row in rows))
+    return _atomic_write(Path(path), _csv_text(header, ([row[c] for c in columns] for row in rows)))
 
 
 def format_summary(cell: CellResult) -> str:

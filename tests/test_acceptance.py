@@ -47,12 +47,7 @@ from kellypool import (
     withdraw_premium,
 )
 from kellypool.cli import main as cli_main
-from kellypool.reports import (
-    metrics_record,
-    write_metrics_json,
-    write_runs_csv,
-    write_timeseries_csv,
-)
+from kellypool.reports import export_bundle
 from kellypool.scenarios import SWEEP_IDS, WITHDRAWAL_PERIODS
 
 import report_digests
@@ -349,12 +344,10 @@ def test_criterion6c_bitwise_determinism(tmp_path):
     for run in ("first", "second"):
         cell = compare_withdrawal(config)
         directory = tmp_path / run
-        write_metrics_json(metrics_record(cell), directory / "metrics.json")
-        write_timeseries_csv(cell.withdrawal, directory / "timeseries.csv")
-        write_runs_csv(cell.withdrawal, directory / "runs.csv")
+        export_bundle(cell, directory)
         outputs.append(
             tuple((directory / name).read_bytes()
-                  for name in ("metrics.json", "timeseries.csv", "runs.csv"))
+                  for name in ("metrics.json", "timeseries_withdrawal.csv", "runs_withdrawal.csv"))
         )
     report(
         "criterion 6c: byte-identical metrics and CSV output across reruns",

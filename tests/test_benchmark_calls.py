@@ -44,3 +44,11 @@ def test_report_bundle_adapter_builds_the_cell():
     assert vars(cell) == vars(CellResult(withdrawal=batch))
     comparison = CellResult(no_withdrawal=batch, withdrawal=batch)
     assert reports.ReportBundle.from_comparison(comparison) is comparison
+
+
+def test_tracer_finds_every_symbol_it_reads(run):
+    """The per-layer metrics read spans of these symbols; only ``cli._run_cell`` is gone."""
+    import tracing
+
+    with tracing.Tracer() as tracer:
+        assert tracer.absent == {"cli._run_cell"}

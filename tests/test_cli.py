@@ -2,7 +2,6 @@
 
 import json
 import shutil
-from pathlib import Path
 
 import pytest
 
@@ -312,6 +311,25 @@ class TestSimulate:
                     main([*command, *flag, "--out", str(tmp_path)])
                 assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "seed, sims, policy", [("19", "2", "both"), ("2", "1", "without"), ("2", "2", "without")]
+    )
+    def test_large_pool_keeps_its_books(self, capsys, tmp_path, seed, sims, policy):
+        # 2e10 euros, where the payout's rounding alone exceeds the 1e-6
+        # conservation guard; one simulation runs the scalar loop, two the lanes
+        config_path = tmp_path / "large.json"
+        config_path.write_text(json.dumps({
+            "scenario_id": "large", "initial_collateral": 2e10, "n_invoices": 60,
+            "amount_range": None, "amount_fraction_of_initial": 1.0, "q_range": [0.3, 0.45],
+            "delay_range_days": [20, 40], "lp_contribution_probability": 1.0,
+            "lp_cap_fraction": 0.01, "nonpayment_probability": 0.5,
+        }))
+        code, _, err = run_cli(
+            capsys, "simulate", "--config", str(config_path), "--seed", seed, "--sims", sims,
+            "--policy", policy, "--out", str(tmp_path / "out"),
+        )
+        assert (code, err) == (0, "")
+
 
 @pytest.fixture(scope="module")
 def sweep_dir(tmp_path_factory):
@@ -437,14 +455,14 @@ class TestSweep:
     def test_interrupted_rewrite_is_recomputed(self, capsys, tmp_path, monkeypatch):
         out = tmp_path / "sweep"
         assert main(["sweep", "--sims", "1", "--out", str(out)]) == 0
-        write_runs_csv = reports.write_runs_csv
+        atomic_write = reports._atomic_write
 
-        def failing_write(result, path):
-            if Path(path).parent.name == "2.3_p30":
+        def failing_write(path, text):
+            if path.parent.name == "2.3_p30" and path.name.startswith("runs_"):
                 raise OSError("disk full")
-            return write_runs_csv(result, path)
+            return atomic_write(path, text)
 
-        monkeypatch.setattr(reports, "write_runs_csv", failing_write)
+        monkeypatch.setattr(reports, "_atomic_write", failing_write)
         assert main(["sweep", "--sims", "2", "--out", str(out)]) == 3
         monkeypatch.undo()
         capsys.readouterr()

@@ -4,13 +4,17 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from kellypool import (
     PRESET_IDS,
     SWEEP_IDS,
     WITHDRAWAL_PERIODS,
     CellResult,
+    ConfigError,
     Invoice,
+    LedgerError,
     PoolState,
     PremiumQuote,
     ScenarioConfig,
@@ -91,8 +95,6 @@ class TestRunDay:
         assert pool.cumulative_withdrawn == pytest.approx(outcome.premium / 2.0)
 
     def test_day_mismatch_is_a_bug(self):
-        from kellypool import LedgerError
-
         with pytest.raises(LedgerError):
             run_day(PoolState(day=4), 5, (), None, quiet_config())
 
@@ -411,8 +413,6 @@ def test_covered_collateral_is_summed_left_to_right():
 
 
 def test_lane_guard_checks_every_lane(monkeypatch):
-    from kellypool import LedgerError, engine
-
     original = engine._two_sum
 
     def drifting(value, carry, delta):
@@ -423,3 +423,93 @@ def test_lane_guard_checks_every_lane(monkeypatch):
     config = scenario_preset("2.3", n_simulations=3, n_invoices=20)
     with pytest.raises(LedgerError, match="simulation 2 of batch"):
         run_batch(config)
+
+
+def test_lane_guard_rechecks_what_the_float_sum_cannot_resolve():
+    # 1e11 euros: the float sum rounds at 1.5e-5, so 2e-6 of carry reads as 0
+    ledger, carry = np.zeros((6, 1)), np.zeros((6, 1))
+    ledger[engine._LIQ] = 1e11
+    carry[engine._LIQ] = 2e-6
+    initial_funds = np.array([[1e11], [0.0]])
+    assert (ledger + carry)[engine._LIQ] == ledger[engine._LIQ]
+    with pytest.raises(LedgerError, match=r"in lane 0: residual 2e-06$"):
+        engine._check_conservation(
+            ledger, carry, initial_funds, initial_funds.sum(axis=0), lambda lane: f"in lane {lane}"
+        )
+    pool = PoolState(liquidity=1e11)
+    pool._carry["liquidity"] = 2e-6
+    assert conservation_residual(pool, 1e11) == 2e-6
+    # within the guard, the same ledger passes
+    carry[engine._LIQ] = 5e-7
+    engine._check_conservation(ledger, carry, initial_funds, initial_funds.sum(axis=0), str)
+
+
+# A preset-free config whose payouts reach into the premium reserve of a
+# 2e10-euro pool: each payout's rounding approaches the 1e-6 guard.
+LARGE_POOL = dict(
+    scenario_id="large", n_simulations=1, initial_collateral=2e10, n_invoices=60,
+    amount_range=None, amount_fraction_of_initial=1.0, q_range=(0.3, 0.45),
+    delay_range_days=(20, 40), lp_contribution_probability=1.0, lp_cap_fraction=0.01,
+    nonpayment_probability=0.5,
+)
+
+
+def test_large_pool_gets_one_verdict_from_both_engines():
+    for seed in range(50):
+        config = ScenarioConfig(seed=seed, **LARGE_POOL)
+        ((lane_runs, _),) = engine._run_lanes([config], range(1), None)
+        assert metric_values(lane_runs[0]) == metric_values(run_simulation(config, 0).metrics)
+
+
+@st.composite
+def edge_config(draw, n_simulations):
+    """A config from the edges of the envelope: pool size, premiums, delays, entry window."""
+    pool = draw(st.sampled_from([1.0, 1e3, 1e6, 1e9, 1e10, 1e11]))
+    n_invoices = draw(st.integers(0, 30))
+    q_high = draw(st.sampled_from([0.3, 0.49, 0.9, 0.999999]))
+    fraction = draw(st.sampled_from([1e-3, 0.1, 1.0]))
+    delay_low = draw(st.integers(1, 40))
+    amounts = (
+        {"amount_range": None, "amount_fraction_of_initial": fraction}
+        if draw(st.booleans())
+        else {"amount_range": (pool * fraction / 2, pool * fraction)}
+    )
+    try:
+        return ScenarioConfig(
+            scenario_id="edge",
+            n_simulations=n_simulations,
+            initial_collateral=pool,
+            initial_premium=pool * draw(st.sampled_from([0.0, 1e-3, 0.5])),
+            n_invoices=n_invoices,
+            max_entry_days=draw(st.integers(0, 2 * n_invoices + 1)),
+            q_range=(q_high * draw(st.sampled_from([0.5, 0.99, 1.0])), q_high),
+            delay_range_days=(delay_low, delay_low + draw(st.sampled_from([0, 3, 60, 5_000]))),
+            additional_days=draw(st.integers(0, 30)),
+            lp_contribution_probability=draw(st.sampled_from([0.0, 0.5, 1.0])),
+            lp_cap_fraction=draw(st.sampled_from([0.0, 1e-3, 0.01])),
+            lp_contribution_mode=draw(st.sampled_from(["uniform", "fixed"])),
+            nonpayment_probability=draw(st.sampled_from([0.0, 0.5])),
+            hack_probability=draw(st.sampled_from([0.0, 0.3])),
+            hack_q=draw(st.sampled_from([None, 0.49])),
+            withdrawal_enabled=draw(st.booleans()),
+            withdrawal_period_days=draw(st.sampled_from(WITHDRAWAL_PERIODS)),
+            seed=draw(st.integers(0, 2**32)),
+            **amounts,
+        )
+    except ConfigError:
+        assume(False)
+
+
+@st.composite
+def edge_configs(draw):
+    """One to four configs of one simulation count, so that horizons mix in one pass."""
+    n_simulations = draw(st.integers(1, 3))
+    return draw(st.lists(edge_config(n_simulations), min_size=1, max_size=4))
+
+
+@settings(derandomize=True, max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(edge_configs())
+def test_lanes_equal_scalar_loop_at_the_envelope_edges(configs):
+    for config, result in zip(configs, run_batches(configs)):
+        assert_same_batch(result, scalar_batch(config))

@@ -21,10 +21,6 @@ from kellypool import (
     round_money,
     run_batch,
     scenario_preset,
-    write_metrics_csv,
-    write_metrics_json,
-    write_runs_csv,
-    write_timeseries_csv,
 )
 from kellypool import reports
 from kellypool.engine import BatchResult, DailySeries, SimulationMetrics
@@ -34,8 +30,10 @@ from kellypool.reports import (
     METRIC_FIELDS,
     MONEY_FIELDS,
     TIMESERIES_HEADER,
+    _cell_texts,
     _money_texts,
     _rounded,
+    _timeseries_text,
     complete_cell_record,
     diff_report_rows,
     write_diff_rows,
@@ -55,8 +53,8 @@ def single_cell():
     return CellResult(no_withdrawal=batch)
 
 
-def read_metrics_csv(path):
-    lines = path.read_text().splitlines()
+def read_metrics_csv(text):
+    lines = text.splitlines()
     assert lines[0].startswith("#")
     header = lines[1].split(",")
     rows = {}
@@ -131,9 +129,9 @@ class TestWholeArrayRounding:
 
 
 class TestMetricsExports:
-    def test_json_structure_paired(self, paired_cell, tmp_path):
-        path = write_metrics_json(metrics_record(paired_cell), tmp_path / "metrics.json")
-        record = json.loads(path.read_text())
+    def test_json_structure_paired(self, paired_cell):
+        record = json.loads(_cell_texts(paired_cell)["metrics.json"])
+        assert record == metrics_record(paired_cell)
         assert record["scenario_id"] == "5.3"
         assert record["policies"] == ["no_withdrawal", "withdrawal"]
         assert set(record["metrics"]) == {"no_withdrawal", "withdrawal", "difference_pct"}
@@ -142,16 +140,14 @@ class TestMetricsExports:
         assert isinstance(record["loss"]["withdrawal"], bool)
         assert record["config"]["seed"] == 31
 
-    def test_single_policy_omits_difference(self, single_cell, tmp_path):
-        path = write_metrics_json(metrics_record(single_cell), tmp_path / "m.json")
-        record = json.loads(path.read_text())
+    def test_single_policy_omits_difference(self, single_cell):
+        record = json.loads(_cell_texts(single_cell)["metrics.json"])
         assert record["policies"] == ["no_withdrawal"]
         assert "difference_pct" not in record["metrics"]
         assert "withdrawal" not in record["metrics"]
 
-    def test_round_trip_at_reporting_precision(self, paired_cell, tmp_path):
-        path = write_metrics_json(metrics_record(paired_cell), tmp_path / "m.json")
-        record = json.loads(path.read_text())
+    def test_round_trip_at_reporting_precision(self, paired_cell):
+        record = json.loads(_cell_texts(paired_cell)["metrics.json"])
         metrics = paired_cell.withdrawal.metrics
         for name in METRIC_FIELDS:
             stored = record["metrics"]["withdrawal"][name]
@@ -159,19 +155,18 @@ class TestMetricsExports:
             tolerance = 0.005 if name in MONEY_FIELDS else 5e-5
             assert stored == pytest.approx(truth, abs=tolerance)
 
-    def test_csv_matches_json(self, paired_cell, tmp_path):
-        record = metrics_record(paired_cell)
-        json_record = json.loads(write_metrics_json(record, tmp_path / "m.json").read_text())
-        rows = read_metrics_csv(write_metrics_csv(record, tmp_path / "m.csv"))
+    def test_csv_matches_json(self, paired_cell):
+        texts = _cell_texts(paired_cell)
+        json_record = json.loads(texts["metrics.json"])
+        rows = read_metrics_csv(texts["metrics.csv"])
         for name in METRIC_FIELDS:
             for column in ("no_withdrawal", "withdrawal", "difference_pct"):
                 assert rows[name][column] == pytest.approx(
                     json_record["metrics"][column][name] or 0.0
                 ) or (rows[name][column] is None and json_record["metrics"][column][name] is None)
 
-    def test_difference_recomputable_from_columns(self, paired_cell, tmp_path):
-        path = write_metrics_csv(metrics_record(paired_cell), tmp_path / "m.csv")
-        rows = read_metrics_csv(path)
+    def test_difference_recomputable_from_columns(self, paired_cell):
+        rows = read_metrics_csv(_cell_texts(paired_cell)["metrics.csv"])
         for name, cells in rows.items():
             without, with_, stored = (
                 cells["no_withdrawal"], cells["withdrawal"], cells["difference_pct"]
@@ -182,45 +177,42 @@ class TestMetricsExports:
 
 
 class TestTimeseriesExport:
-    def test_header_and_shape(self, paired_cell, tmp_path):
-        path = write_timeseries_csv(paired_cell.withdrawal, tmp_path / "ts.csv")
-        lines = path.read_text().splitlines()
+    def test_header_and_shape(self, paired_cell):
+        text = _timeseries_text(paired_cell.withdrawal)
+        lines = text.splitlines()
         assert lines[0] == TIMESERIES_HEADER == "day,liquidity,premium,volume,withdrawn"
         assert len(lines) == 1 + 650
-        assert path.read_text().endswith("\n")
+        assert text.endswith("\n")
 
-    def test_day_zero_row_is_initial_state(self, paired_cell, tmp_path):
-        path = write_timeseries_csv(paired_cell.no_withdrawal, tmp_path / "ts.csv")
-        day0 = path.read_text().splitlines()[1].split(",")
+    def test_day_zero_row_is_initial_state(self, paired_cell):
+        day0 = _timeseries_text(paired_cell.no_withdrawal).splitlines()[1].split(",")
         assert day0 == ["0", "10000.0", "0.0", "10000.0", "0.0"]
 
-    def test_withdrawn_column_non_decreasing(self, paired_cell, tmp_path):
-        path = write_timeseries_csv(paired_cell.withdrawal, tmp_path / "ts.csv")
-        withdrawn = [float(line.split(",")[4]) for line in path.read_text().splitlines()[1:]]
+    def test_withdrawn_column_non_decreasing(self, paired_cell):
+        lines = _timeseries_text(paired_cell.withdrawal).splitlines()
+        withdrawn = [float(line.split(",")[4]) for line in lines[1:]]
         assert all(b >= a for a, b in zip(withdrawn, withdrawn[1:]))
         assert withdrawn[-1] > 0.0
 
-    def test_negative_value_rounding_to_zero_writes_minus_zero(self, tmp_path):
+    def test_negative_value_rounding_to_zero_writes_minus_zero(self):
         batch = _stub_batch(0.0)
         series = DailySeries(
             np.array([-0.001, 0.0, 1.005]), np.zeros(3), np.array([-0.001, 0.0, 1.005]),
             np.zeros(3),
         )
         batch = BatchResult(batch.config, batch.metrics, series, batch.per_run)
-        lines = write_timeseries_csv(batch, tmp_path / "ts.csv").read_text().splitlines()
+        lines = _timeseries_text(batch).splitlines()
         assert lines[1:] == ["0,-0.0,0.0,-0.0,0.0", "1,0.0,0.0,0.0,0.0", "2,1.01,0.0,1.01,0.0"]
 
-    def test_volume_is_liquidity_plus_premium(self, paired_cell, tmp_path):
-        path = write_timeseries_csv(paired_cell.withdrawal, tmp_path / "ts.csv")
-        for line in path.read_text().splitlines()[1:]:
+    def test_volume_is_liquidity_plus_premium(self, paired_cell):
+        for line in _timeseries_text(paired_cell.withdrawal).splitlines()[1:]:
             _, liq, prem, vol, _ = (float(x) for x in line.split(","))
             assert vol == pytest.approx(liq + prem, abs=0.02)
 
 
 class TestRunsExport:
-    def test_one_row_per_simulation(self, paired_cell, tmp_path):
-        path = write_runs_csv(paired_cell.withdrawal, tmp_path / "runs.csv")
-        lines = path.read_text().splitlines()
+    def test_one_row_per_simulation(self, paired_cell):
+        lines = _cell_texts(paired_cell)["runs_withdrawal.csv"].splitlines()
         assert lines[0].split(",")[:2] == ["sim_index", "n_simulations"]
         assert len(lines) == 1 + 4
 
@@ -259,17 +251,17 @@ class TestIntegerFields:
 class TestExportBundle:
     def test_writes_full_file_set(self, paired_cell, tmp_path):
         written = export_bundle(paired_cell, tmp_path / "cell")
-        names = sorted(p.name for p in written)
-        assert names == [
-            "config.json",
-            "metrics.csv",
+        assert [p.name for p in written] == [
             "metrics.json",
-            "runs_no_withdrawal.csv",
-            "runs_withdrawal.csv",
+            "metrics.csv",
             "timeseries_no_withdrawal.csv",
+            "runs_no_withdrawal.csv",
             "timeseries_withdrawal.csv",
+            "runs_withdrawal.csv",
+            "config.json",
         ]
-        assert all(p.exists() for p in written)
+        texts = _cell_texts(paired_cell)
+        assert [p.read_text(encoding="utf-8") for p in written] == list(texts.values())
         leftovers = [p for p in (tmp_path / "cell").iterdir() if p.name.startswith("tmp")]
         assert leftovers == []
 
