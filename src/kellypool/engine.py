@@ -56,14 +56,21 @@ from .scenarios import (
     generate_stream,
     lp_contribution_schedule,
     simulation_rng,
+    stream_words,
 )
 
 # Internal ledger guard; the reporting-grade tolerance is asserted in tests.
 _CONSERVATION_GUARD = 1e-6
 
-# Most lanes one pass steps at once.  A pass's working memory grows with
+# Most lanes one pass steps at once.  A pass holds its invoice tables
+# (about 25 bytes per invoice and stream column), so its memory grows with
 # its lane count; more, smaller passes cost more per-day array calls.
 _LANE_BUDGET = 2048
+
+# Most raw generator words (8 bytes each) decoded at once: a pass decodes
+# each stream in chunks of this many words, or of one simulation if that
+# takes more, so decoding adds a bounded chunk to the pass's tables.
+_DECODE_WORDS = 2**16
 
 
 @dataclass(frozen=True)
@@ -437,7 +444,7 @@ def _run_lanes(
     n_groups = len(group_configs)
     n_lanes = n_sims * n_groups
 
-    q_table, amount_table, due_table, repays_table, deposit_table = _invoice_tables(
+    q_table, amount_table, due_table, repays_table, deposit_table, depth = _invoice_tables(
         stream_configs, sims, horizon
     )
     group_unit = np.array([unit_of[stream] for stream in streams])
@@ -468,9 +475,10 @@ def _run_lanes(
     covered = np.zeros(n_lanes)
     loss = np.zeros(n_lanes)
 
-    # repayments due, by day modulo ring_days, in acceptance order
+    # repayments due, by day modulo ring_days, in acceptance order; a slot
+    # holds one due day, so no lane fills more than ``depth`` places of it
     ring_days = max(c.delay_range_days[1] for c in stream_configs) + 1
-    due_amounts = np.zeros((ring_days, 2, n_lanes))
+    due_amounts = np.zeros((ring_days, depth, n_lanes))
     due_count = np.zeros((ring_days, n_lanes), dtype=np.int64)
 
     # day-start snapshots in DailySeries field order, summed per group in
@@ -548,10 +556,6 @@ def _run_lanes(
                     if lanes.size:
                         slots = due_table[day][lane_column[lanes]] % ring_days
                         position = due_count[slots, lanes]
-                        if position.max() >= due_amounts.shape[1]:
-                            grown = np.zeros((ring_days, 2 * due_amounts.shape[1], n_lanes))
-                            grown[:, : due_amounts.shape[1]] = due_amounts
-                            due_amounts = grown
                         due_amounts[slots, position, lanes] = demanded[lanes]
                         due_count[slots, lanes] += 1
 
@@ -618,14 +622,18 @@ def _exact_residuals(
 
 
 def _invoice_tables(stream_configs: list[ScenarioConfig], sims: range, horizon: int):
-    """Decoded streams as tables with one row per day and one column per stream.
+    """Decoded streams as tables with one row per day and one column per
+    stream, and the repayment ring's depth.
 
     Column ``u * len(sims) + k`` is simulation ``sims[k]`` of
     ``stream_configs[u]``.  Invoice i arrives on day i, so once accepted
     it is due on day i + delay; ``repays`` marks the invoices that then
-    come back within their stream's horizon.  Deposits are zero past a
+    come back within their stream's horizon, and the depth is the most of
+    them that one column has due on one day.  Deposits are zero past a
     stream's horizon, up to the pass's ``horizon``; the deposit table is
-    None when no stream has deposits.
+    None when no stream has deposits.  Each stream is decoded in chunks of
+    consecutive simulations of at most ``_DECODE_WORDS`` raw words (at
+    least one simulation), each copied into its columns before the next.
     """
     n_sims = len(sims)
     n_rows = max(config.n_invoices for config in stream_configs)
@@ -635,19 +643,26 @@ def _invoice_tables(stream_configs: list[ScenarioConfig], sims: range, horizon: 
     due = np.zeros((n_rows, n_columns), dtype=np.int64)
     repays = np.zeros((n_rows, n_columns), dtype=bool)
     deposits = None
+    depth = 0
     for unit, config in enumerate(stream_configs):
-        stream = decode_streams(config, sims)
-        columns = slice(unit * n_sims, (unit + 1) * n_sims)
         n = config.n_invoices
-        q[:n, columns] = stream.q.T
-        amount[:n, columns] = stream.amount.T
-        due[:n, columns] = np.arange(n)[:, None] + stream.delay.T
-        repays[:n, columns] = ~stream.defaults.T & (due[:n, columns] < config.horizon_days)
-        if stream.deposits is not None:
-            if deposits is None:
-                deposits = np.zeros((horizon, n_columns))
-            deposits[: config.horizon_days, columns] = stream.deposits.T
-    return q, amount, due, repays, deposits
+        step = max(1, _DECODE_WORDS // stream_words(config))
+        for start in range(0, n_sims, step):
+            stream = decode_streams(config, sims[start:start + step])
+            width = len(stream.q)
+            columns = slice(unit * n_sims + start, unit * n_sims + start + width)
+            q[:n, columns] = stream.q.T
+            amount[:n, columns] = stream.amount.T
+            due[:n, columns] = np.arange(n)[:, None] + stream.delay.T
+            repays[:n, columns] = ~stream.defaults.T & (due[:n, columns] < config.horizon_days)
+            # one key per (due day, column) of each invoice that can repay
+            keys = (due[:n, columns] * width + np.arange(width))[repays[:n, columns]]
+            depth = max(depth, int(np.unique(keys, return_counts=True)[1].max(initial=0)))
+            if stream.deposits is not None:
+                if deposits is None:
+                    deposits = np.zeros((horizon, n_columns))
+                deposits[: config.horizon_days, columns] = stream.deposits.T
+    return q, amount, due, repays, deposits, depth
 
 
 def _reduce_lanes(

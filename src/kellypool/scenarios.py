@@ -47,7 +47,8 @@ WITHDRAWAL_PERIODS = (1, 30, 90)
 # The envelope of a config that simulates.  Invoice count and horizon size
 # the per-day tables and the repayment ring; the cap is about four times
 # the 50,150 days of a 50,000-invoice run.  Every euro that can enter the
-# pool must stay below 2**53 cents, where float64 still resolves a cent.
+# pool, premiums included, must stay below 2**53 cents, where float64
+# still resolves a cent.
 _MAX_DAYS = 200_000
 _MAX_MONEY = 2.0**53 / 100
 
@@ -90,7 +91,8 @@ class ScenarioConfig:
     number of invoices (one arrival per day) and ``horizon_days`` is
     derived as ``max_entry_days + max delay + additional_days`` so that
     every genuine invoice can repay before the run ends.  A config
-    outside the envelope (``_MAX_DAYS``, ``_MAX_MONEY``) is rejected.
+    outside the envelope (``_MAX_DAYS``, ``_MAX_MONEY`` with premiums,
+    ``q < 1/2``) is rejected.
     """
 
     scenario_id: str = "custom"
@@ -182,6 +184,15 @@ class ScenarioConfig:
                 f"n_invoices and horizon_days must be at most {_MAX_DAYS:,}, "
                 f"got {self.n_invoices:,} and {self.horizon_days:,}"
             )
+        # An accepted invoice demands at most the volume (f <= 1), so its
+        # premium factor q^2 / (1 - q(f + 1)) is at most q^2 / (1 - 2q) for
+        # q < 1/2; from q = 1/2 on it has no bound.
+        q_max = max(self.q_range[1], self.hack_q or 0.0)
+        if q_max >= 0.5:
+            raise ConfigError(
+                f"the largest non-collateralized share (q_range and hack_q) must stay "
+                f"below 0.5, where premiums have no bound; got {q_max}"
+            )
         if self.amount_range is not None:
             largest_amount = self.amount_range[1]
         else:
@@ -189,14 +200,14 @@ class ScenarioConfig:
         money = (
             self.initial_collateral
             + self.initial_premium
-            + self.n_invoices * largest_amount
+            + self.n_invoices * largest_amount * (1.0 + q_max**2 / (1.0 - 2.0 * q_max))
             + self.horizon_days * self.lp_cap_fraction * self.initial_collateral
         )
         if not money < _MAX_MONEY:
             raise ConfigError(
-                f"initial funds, n_invoices x the largest amount and horizon_days x the LP cap "
-                f"add up to {money:.6g} euros; they must stay below 2**53 cents "
-                f"({_MAX_MONEY:.6g} euros)"
+                f"initial funds, n_invoices x the largest amount and its largest premium, "
+                f"and horizon_days x the LP cap add up to {money:.6g} euros; they must stay "
+                f"below 2**53 cents ({_MAX_MONEY:.6g} euros)"
             )
 
     def replace(self, **changes) -> "ScenarioConfig":
@@ -390,6 +401,22 @@ def _uniform(lo: float, hi: float, unit: np.ndarray) -> np.ndarray:
     return lo + (hi - lo) * unit
 
 
+def stream_words(config: ScenarioConfig) -> int:
+    """Raw PCG64 words ``decode_streams`` reads per simulation of ``config``."""
+    n = config.n_invoices
+    lead = (config.hack_q is None) + (config.amount_fraction_of_initial is None)
+    draws_delay = config.delay_range_days[1] > config.delay_range_days[0]
+    cap = config.lp_cap_fraction * config.initial_collateral
+    lp_on = config.lp_contribution_probability > 0.0 and cap > 0.0
+    lp_words = 1 if config.lp_contribution_mode == "fixed" else 2
+    return (
+        n * (lead + 2)
+        + draws_delay * ((n + 1) // 2)
+        + (config.horizon_days * lp_words if lp_on else 0)
+        + 1  # a non-payment flag index past a trailing bogus invoice stays in bounds
+    )
+
+
 def decode_streams(config: ScenarioConfig, sim_indices) -> StreamArrays:
     """What ``generate_stream`` and ``lp_contribution_schedule`` draw, for many
     simulations at once and equal bit for bit.
@@ -420,12 +447,7 @@ def decode_streams(config: ScenarioConfig, sim_indices) -> StreamArrays:
     draws_delay = span > 0  # numpy draws nothing for an empty range
     p_hack = config.hack_probability
 
-    n_words = (
-        n * (lead + 2)
-        + draws_delay * ((n + 1) // 2)
-        + (horizon * (1 if lp_fixed else 2) if lp_on else 0)
-        + 1  # a non-payment flag index past a trailing bogus invoice stays in bounds
-    )
+    n_words = stream_words(config)
     raw = np.empty((n_sims, n_words), dtype=np.uint64)
     for row, sim_index in enumerate(sims):
         seed_seq = np.random.SeedSequence(config.seed, spawn_key=(sim_index,))

@@ -246,6 +246,9 @@ class TestSimulate:
             {"delay_range_days": [30, 1099511627776], "n_simulations": 2, "n_invoices": 5},
             # initial funds that overflow to inf used to fail the ledger guard with nan
             {"initial_collateral": 1e308, "initial_premium": 1e308},
+            # premiums that used to carry the pool past 2**53 cents
+            {"initial_collateral": 1e9, "n_invoices": 5, "q_range": [0.999999, 0.999999],
+             "amount_range": [1000.0, 1000.0], "delay_range_days": [1, 1], "n_simulations": 1},
         ],
     )
     def test_config_outside_envelope_exits_2(self, capsys, tmp_path, config):

@@ -81,6 +81,13 @@ class TestScenarioConfig:
             {"scenario_id": "a/b"},
             {"scenario_id": ""},
             {"scenario_id": "bad\ud800id"},
+            # premiums grow without bound from q = 1/2 on
+            {"initial_collateral": 1e9, "n_invoices": 5, "q_range": (0.999999, 0.999999),
+             "amount_range": (1000.0, 1000.0), "delay_range_days": (1, 1)},
+            {"hack_q": 0.5},
+            # below it, premiums of up to 12.005x the amount pass the envelope
+            {"initial_collateral": 1e12, "amount_range": None, "amount_fraction_of_initial": 1.0,
+             "n_invoices": 10, "q_range": (0.49, 0.49)},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
