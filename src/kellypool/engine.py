@@ -77,27 +77,26 @@ _DECODE_WORDS = 2**16
 class DailySeries:
     """Per-day pool trajectories over one run (or averaged over a batch).
 
-    Each array has one entry per day, recorded at the start of the day,
-    so index 0 is the untouched initial state.
+    ``table`` has one row per day, recorded at the start of the day, so
+    row 0 is the untouched initial state.  Its columns are those of
+    ``timeseries_<policy>.csv``: liquidity, premium reserve, volume and
+    cumulative withdrawn, each also readable by name.
     """
 
-    liquidity: np.ndarray
-    premium_reserve: np.ndarray
-    volume: np.ndarray
-    cumulative_withdrawn: np.ndarray
+    table: np.ndarray
+
+    liquidity = property(lambda self: self.table[:, 0])
+    premium_reserve = property(lambda self: self.table[:, 1])
+    volume = property(lambda self: self.table[:, 2])
+    cumulative_withdrawn = property(lambda self: self.table[:, 3])
 
     def __len__(self) -> int:
-        return len(self.liquidity)
+        return len(self.table)
 
     @staticmethod
     def mean(series: Sequence["DailySeries"]) -> "DailySeries":
         """Day-wise arithmetic mean across runs, reduced in given order."""
-        return DailySeries(
-            **{
-                f.name: np.stack([getattr(s, f.name) for s in series]).mean(axis=0)
-                for f in fields(DailySeries)
-            }
-        )
+        return DailySeries(np.stack([s.table for s in series]).mean(axis=0))
 
 
 @dataclass(frozen=True)
@@ -189,13 +188,10 @@ def run_simulation(config: ScenarioConfig, sim_index: int = 0) -> SimulationResu
         liquidity=config.initial_collateral, premium_reserve=config.initial_premium
     )
     due: dict[int, list[Invoice]] = {}
-    series = {f.name: np.empty(horizon) for f in fields(DailySeries)}
+    series = np.empty((horizon, 4))
 
     for day in range(horizon):
-        series["liquidity"][day] = pool.liquidity
-        series["premium_reserve"][day] = pool.premium_reserve
-        series["volume"][day] = pool.volume
-        series["cumulative_withdrawn"][day] = pool.cumulative_withdrawn
+        series[day] = pool.liquidity, pool.premium_reserve, pool.volume, pool.cumulative_withdrawn
 
         arriving = None
         if day < config.max_entry_days and day < len(invoices):
@@ -217,7 +213,7 @@ def run_simulation(config: ScenarioConfig, sim_index: int = 0) -> SimulationResu
 
     finalize_losses(pool, invoices)
     metrics = _run_metrics(pool, invoices, config)
-    return SimulationResult(metrics=metrics, series=DailySeries(**series), invoices=invoices)
+    return SimulationResult(metrics=metrics, series=DailySeries(series), invoices=invoices)
 
 
 def _run_metrics(
@@ -321,13 +317,10 @@ def run_batches(configs: Sequence[ScenarioConfig]) -> list[BatchResult]:
             per_run[key].extend(runs)
             sums[key] = series_sums
     results: list[BatchResult | None] = [None] * len(configs)
-    names = [f.name for f in fields(DailySeries)]
     for key, indices in requests.items():
         runs = tuple(per_run[key])
         metrics = _mean_metrics(runs)
-        mean_series = DailySeries(
-            **{name: sums[key][:, row] / len(runs) for row, name in enumerate(names)}
-        )
+        mean_series = DailySeries(sums[key] / len(runs))
         for index in indices:
             results[index] = BatchResult(configs[index], metrics, mean_series, runs)
     return results
@@ -395,8 +388,7 @@ def _run_pass(
     """Per batch group of one pass: per-run metrics and day-wise series sums."""
     if len(configs) == 1 and configs[0].n_simulations == 1:
         result = run_simulation(configs[0], 0)
-        series = np.stack([getattr(result.series, f.name) for f in fields(DailySeries)], axis=1)
-        return [((result.metrics,), series)]
+        return [((result.metrics,), result.series.table)]
     return _run_lanes(configs, sims, carried)
 
 
@@ -481,7 +473,7 @@ def _run_lanes(
     due_amounts = np.zeros((ring_days, depth, n_lanes))
     due_count = np.zeros((ring_days, n_lanes), dtype=np.int64)
 
-    # day-start snapshots in DailySeries field order, summed per group in
+    # day-start snapshots in DailySeries column order, summed per group in
     # simulation order (np.add.accumulate is sequential; np.sum is not)
     snapshot = np.empty((4, n_sims, n_groups))
     snapshot_lanes = snapshot.reshape(4, n_lanes)
@@ -699,6 +691,13 @@ def _reduce_lanes(
 POLICIES = ("no_withdrawal", "withdrawal")  # a cell's premium policies, in column order
 
 
+def difference_pct(base: float, value: float) -> float | None:
+    """``100 * (value - base) / |base|``: 0.0 when both are zero, None when only the base is."""
+    if base == 0:
+        return 0.0 if value == 0 else None
+    return 100.0 * (value - base) / abs(base)
+
+
 @dataclass(frozen=True)
 class CellResult:
     """One scenario cell: its batch under each premium policy that ran, on one seed.
@@ -727,14 +726,11 @@ class CellResult:
 
     @property
     def profit_difference_pct(self) -> float | None:
-        """100 * (with - without) / |without| of a paired cell; 0.0 when both are zero,
-        None when a policy did not run or only the base is zero."""
+        """``difference_pct`` of the policies' profits; None when a policy did not run."""
         if len(self.policies) < 2:
             return None
         without, with_ = self.no_withdrawal.metrics.amm_profit, self.withdrawal.metrics.amm_profit
-        if without == 0.0:
-            return 0.0 if with_ == 0.0 else None
-        return 100.0 * (with_ - without) / abs(without)
+        return difference_pct(without, with_)
 
 
 def compare_withdrawal(config: ScenarioConfig) -> CellResult:

@@ -10,10 +10,9 @@ are the reference.  The exporters round whole arrays at once to the
 same floats (``_rounded``); the metrics record and the per-run rows take
 their values from ``_rounded_metric_rows``, and the money time series
 builds its text from integers (``_money_texts``).
-The policy-difference column follows ``100 * (withdrawal -
-no_withdrawal) / |no_withdrawal|`` computed from the rounded columns.
-It is left empty only when the no-withdrawal value is zero and the
-withdrawal value is not; when both are zero it is ``0.0``.
+The policy-difference column is ``engine.difference_pct`` of the
+rounded columns, from no withdrawal to withdrawal, rounded at 4
+decimals; it is left empty where that is None.
 A cell's file set is one table of file name to text (``_cell_texts``),
 which ``export_bundle`` writes into the cell directory.  Every file is
 written atomically (temp file plus rename), and ``config.json`` last,
@@ -34,8 +33,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .engine import POLICIES, BatchResult, CellResult, SimulationMetrics
-from .scenarios import ScenarioConfig
+from .engine import POLICIES, BatchResult, CellResult, SimulationMetrics, difference_pct
+from .scenarios import ScenarioConfig, _is_number
+
+# Recorded in each cell's ``config.json``, so a resumed sweep recomputes
+# the cells an earlier build wrote.  Raise it with every change that moves
+# a report byte of an existing file.
+RESULTS_VERSION = 1
 
 DIFFERENCE_CONVENTION = "100 * (withdrawal - no_withdrawal) / |no_withdrawal|"
 TIMESERIES_HEADER = "day,liquidity,premium,volume,withdrawn"
@@ -147,16 +151,9 @@ def _rounded_metric_rows(metrics: Sequence[SimulationMetrics]) -> list[list]:
 
 
 def _difference_column(without: dict, with_: dict) -> dict:
-    changes = {
-        name: 100.0 * (with_[name] - base) / abs(base)
-        for name, base in without.items()
-        if base != 0
-    }
-    rounded = dict(zip(changes, _rounded(list(changes.values()), _FRACTION_SCALE)))
-    return {
-        name: rounded[name] if name in rounded else (0.0 if with_[name] == 0 else None)
-        for name in METRIC_FIELDS
-    }
+    changes = [difference_pct(without[name], with_[name]) for name in METRIC_FIELDS]
+    rounded = iter(_rounded([c for c in changes if c is not None], _FRACTION_SCALE))
+    return {name: None if c is None else next(rounded) for name, c in zip(METRIC_FIELDS, changes)}
 
 
 class ReportBundle(CellResult):
@@ -225,19 +222,17 @@ def _metric_rows(record: dict) -> Iterator[tuple[str, list]]:
 
 def _timeseries_text(batch: BatchResult) -> str:
     """One row per day of the (mean) trajectory; the premium column is the reserve."""
-    series = batch.mean_series
-    columns = _money_texts(
-        np.stack([series.liquidity, series.premium_reserve, series.volume,
-                  series.cumulative_withdrawn], axis=1)
-    )
+    columns = _money_texts(batch.mean_series.table)
     lines = [TIMESERIES_HEADER]
-    lines.extend(map(",".join, zip(map(str, range(len(series))), *columns)))
+    lines.extend(map(",".join, zip(map(str, range(len(batch.mean_series))), *columns)))
     return "\n".join(lines) + "\n"
 
 
 def config_record(policies: tuple[str, ...], config: ScenarioConfig) -> dict:
     """Contents of ``config.json``; a cell is complete only on an equal record."""
-    return {"policies": list(policies), "config": config.to_dict()}
+    return {
+        "results_version": RESULTS_VERSION, "policies": list(policies), "config": config.to_dict()
+    }
 
 
 def _cell_texts(cell: CellResult) -> dict[str, str]:
@@ -289,10 +284,6 @@ def _read_json(path: Path):
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _holds_diff_values(record, expected: dict) -> bool:
     """Whether ``record`` has the entries of ``expected`` and each value a diff row reads."""
     if not isinstance(record, dict) or any(record.get(k) != v for k, v in expected.items()):
@@ -318,10 +309,11 @@ def complete_cell_record(
     """The metrics record of ``directory`` when it holds the full file set of exactly this run.
 
     The cell is complete when ``config.json`` equals ``config_record(policies,
-    config)``, ``metrics.json`` is a UTF-8 JSON metrics record of the same
-    scenario, policies and config that holds every value
-    ``diff_row_from_metrics_record`` reads, and every other file of the set
-    exists.  Otherwise None, and the cell is to be computed again.
+    config)``, results version included, ``metrics.json`` is a UTF-8 JSON
+    metrics record of the same scenario, policies and config that holds
+    every value ``diff_row_from_metrics_record`` reads, each number finite,
+    and every other file of the set exists.  Otherwise None, and the cell
+    is to be computed again.
     """
     expected = config_record(policies, config)
     try:
@@ -330,7 +322,9 @@ def complete_cell_record(
         record = _read_json(directory / "metrics.json")
     except (OSError, ValueError, RecursionError):
         return None
-    if not _holds_diff_values(record, {"scenario_id": config.scenario_id, **expected}):
+    header = {"scenario_id": config.scenario_id, "policies": expected["policies"],
+              "config": expected["config"]}
+    if not _holds_diff_values(record, header):
         return None
     if not all((directory / name).is_file() for name in _cell_files(policies)):
         return None

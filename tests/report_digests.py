@@ -4,14 +4,19 @@ The gate is ``sweep --sims 2`` at seeds 0 and 1, the full sweep at seed 0
 and ``simulate --scenario 2.3`` with each ``--policy``.  ``digests`` hashes
 each file of one run's output directory, grouped by cell directory; the
 run's own files, such as ``diff_report.csv``, are grouped under ".".
-``data/report_digests.json`` holds them per run, and
+``data/report_digests.json`` holds them per run, beside the
+``reports.RESULTS_VERSION`` they were written at, and
 ``test_acceptance.test_report_bytes_match_pinned_digests`` compares.
 
 A change that moves report bytes on purpose regenerates the file with
 
     python tests/report_digests.py --write
 
-Without ``--write`` the script runs the gate and lists each file that moved.
+It refuses to overwrite the digest of a file the gate already wrote
+unless ``RESULTS_VERSION`` differs from the stored version (a missing one
+reads as 0), so a change that moves results must raise it.  New files
+need no raise.  Without ``--write`` the script runs the gate and lists
+each file that moved.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ import tempfile
 from pathlib import Path
 
 DIGESTS = Path(__file__).parent / "data" / "report_digests.json"
+# The entry of the digests file that holds the results version; every other one is a run.
+VERSION_KEY = "results_version"
 FULL_SWEEP = "sweep-seed0"
 # Each run of the gate: its name and its CLI arguments without ``--out``.
 # The full sweep is the one the acceptance suite's ``sweep`` fixture runs.
@@ -66,17 +73,31 @@ def run_gate(out_root: Path, done: dict[str, Path] | None = None) -> dict:
     return result
 
 
+def _files(runs: dict) -> dict[tuple[str, str, str], str]:
+    """The digest of each (run, cell, file name) of a digests file or of ``run_gate``."""
+    return {
+        (run, cell, name): digest
+        for run, cells in runs.items() if run != VERSION_KEY
+        for cell, files in cells.items()
+        for name, digest in files.items()
+    }
+
+
 def moved(expected: dict, actual: dict) -> list[str]:
     """One line per cell whose files differ, naming each changed, missing or new file."""
-    lines = []
-    for run in sorted(expected.keys() | actual.keys()):
-        want_run, got_run = expected.get(run, {}), actual.get(run, {})
-        for cell in sorted(want_run.keys() | got_run.keys()):
-            want, got = want_run.get(cell, {}), got_run.get(cell, {})
-            files = sorted(n for n in want.keys() | got.keys() if want.get(n) != got.get(n))
-            if files:
-                lines.append(f"{run}/{cell}: {', '.join(files)}")
-    return lines
+    want, got = _files(expected), _files(actual)
+    cells: dict[str, list[str]] = {}
+    for run, cell, name in sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k)):
+        cells.setdefault(f"{run}/{cell}", []).append(name)
+    return [f"{cell}: {', '.join(names)}" for cell, names in cells.items()]
+
+
+def overwritten(stored: dict, actual: dict, version: int) -> list[str]:
+    """Each file whose stored digest ``actual`` changes while the results version stays."""
+    if stored.get(VERSION_KEY, 0) != version:
+        return []
+    want, got = _files(stored), _files(actual)
+    return ["/".join(k) for k in sorted(want.keys() & got.keys()) if want[k] != got[k]]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -87,8 +108,18 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as scratch:
         actual = run_gate(Path(scratch))
     if args.write:
+        from kellypool.reports import RESULTS_VERSION
+
+        stored = json.loads(DIGESTS.read_text(encoding="utf-8")) if DIGESTS.exists() else {}
+        changed = overwritten(stored, actual, RESULTS_VERSION)
+        if changed:
+            print(f"refusing to overwrite {len(changed)} digests at results version "
+                  f"{RESULTS_VERSION}; raise kellypool.reports.RESULTS_VERSION first:")
+            print("\n".join(changed))
+            return 1
         DIGESTS.parent.mkdir(parents=True, exist_ok=True)
-        DIGESTS.write_text(json.dumps(actual, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        pinned = {VERSION_KEY: RESULTS_VERSION, **actual}
+        DIGESTS.write_text(json.dumps(pinned, indent=1, sort_keys=True) + "\n", encoding="utf-8")
         print(f"wrote {DIGESTS}")
         return 0
     lines = moved(json.loads(DIGESTS.read_text(encoding="utf-8")), actual)

@@ -25,6 +25,8 @@ withdrawal period, the run that reference row comes from:
   accepts 67.72% with withdrawal, not about 36%.
 """
 
+import dataclasses
+import functools
 import json
 import time
 
@@ -32,6 +34,7 @@ import numpy as np
 import pytest
 
 from kellypool import (
+    CellResult,
     Invoice,
     PoolState,
     Rejection,
@@ -40,12 +43,15 @@ from kellypool import (
     compute_b,
     conservation_residual,
     lp_deposit,
+    metrics_record,
     quote_premium,
     repay_invoice,
     round_money,
+    run_batches,
     scenario_preset,
     withdraw_premium,
 )
+from kellypool import reports
 from kellypool.cli import main as cli_main
 from kellypool.reports import export_bundle
 from kellypool.scenarios import SWEEP_IDS, WITHDRAWAL_PERIODS
@@ -168,6 +174,69 @@ def test_criterion2_profit_identity(baseline_pair, sweep):
     report("criterion 2: profit identity", checks)
 
 
+# --- criteria 3-5: each claim's checks, shared by every seed ----------------
+#
+# ``metrics(scenario_id, period)`` gives a cell's metric columns as
+# ``metrics.json`` records them: read back from the seed-0 sweep, or
+# built in memory by ``test_claims_hold_at_seeds_1_to_3``.
+
+def criterion3_checks(without: dict, with_: dict) -> list[tuple[str, bool, str]]:
+    """The reference table's base-case bands, on 1.1 at a 1-day/50% period."""
+    return [
+        ("1.1 no withdrawal: pct_accepted in 70.19 +/- 7",
+         abs(without["pct_accepted"] - 70.19) <= 7.0, f"{without['pct_accepted']:.2f}"),
+        ("1.1 no withdrawal: profit_pct in 884.17 +/- 20%",
+         abs(without["amm_profit_pct"] - 884.17) <= 0.20 * 884.17,
+         f"{without['amm_profit_pct']:.2f}"),
+        ("1.1 daily withdrawal: pct_accepted in 35.87 +/- 7",
+         abs(with_["pct_accepted"] - 35.87) <= 7.0, f"{with_['pct_accepted']:.2f}"),
+    ]
+
+
+def criterion4_checks(metrics) -> list[tuple[str, bool, str]]:
+    """The scenario orderings of the no-withdrawal batches at 30 days."""
+    profit = {
+        sid: metrics(sid, 30)["no_withdrawal"]["amm_profit_pct"]
+        for sid in ("1.1", "1.2", "1.3", "1.4", "2.1", "2.2", "2.3", "5.1", "5.2", "5.3")
+    }
+    accepted = {
+        sid: metrics(sid, 30)["no_withdrawal"]["pct_accepted"]
+        for sid in ("3.1", "3.2", "3.3")
+    }
+    return [
+        ("profit 1.1 < 1.2 < 1.3 < 1.4",
+         profit["1.1"] < profit["1.2"] < profit["1.3"] < profit["1.4"],
+         f"{[profit[s] for s in ('1.1', '1.2', '1.3', '1.4')]}"),
+        ("profit 2.1 > 2.2 > 2.3",
+         profit["2.1"] > profit["2.2"] > profit["2.3"],
+         f"{[profit[s] for s in ('2.1', '2.2', '2.3')]}"),
+        ("accepted 3.1 > 3.2 > 3.3",
+         accepted["3.1"] > accepted["3.2"] > accepted["3.3"],
+         f"{[accepted[s] for s in ('3.1', '3.2', '3.3')]}"),
+        ("profit 5.1 > 5.2 > 5.3",
+         profit["5.1"] > profit["5.2"] > profit["5.3"],
+         f"{[profit[s] for s in ('5.1', '5.2', '5.3')]}"),
+    ]
+
+
+def criterion5_checks(metrics) -> list[tuple[str, bool, str]]:
+    """The attack boundaries: drained, profitable, and the sign flip at 30 days."""
+    drained = metrics("hack-q10-h100", 30)["no_withdrawal"]["amm_profit_pct"]
+    profitable = metrics("hack-q49-h10", 30)["no_withdrawal"]["amm_profit_pct"]
+    flip = metrics("hack-q49-h100", 30)
+    flip_without = flip["no_withdrawal"]["amm_profit_pct"]
+    flip_with = flip["withdrawal"]["amm_profit_pct"]
+    return [
+        ("q=0.10 h=1.00: profit_pct <= -95", drained <= -95.0, f"{drained}"),
+        ("q=0.49 h=0.10 no withdrawal: profit_pct positive within 2,300 +/- 25%",
+         0.0 < profitable and abs(profitable - 2_300.0) <= 575.0, f"{profitable}"),
+        ("q=0.49 h=1.00 period 30: negative without withdrawal",
+         flip_without < 0.0, f"{flip_without}"),
+        ("q=0.49 h=1.00 period 30: positive with withdrawal",
+         flip_with > 0.0, f"{flip_with}"),
+    ]
+
+
 # --- criterion 3: baseline reference bands (1.1, 1-day withdrawal) -----------
 
 def test_criterion3_baseline_reference_bands(reference_pair):
@@ -178,26 +247,12 @@ def test_criterion3_baseline_reference_bands(reference_pair):
     docstring for why).
     """
     comparison, per_batch = reference_pair
-    without = comparison.no_withdrawal.metrics
-    with_ = comparison.withdrawal.metrics
+    without = dataclasses.asdict(comparison.no_withdrawal.metrics)
+    with_ = dataclasses.asdict(comparison.withdrawal.metrics)
     report(
         "criterion 3: baseline reference bands (1.1, 1-day/50% withdrawal)",
         [
-            (
-                "no withdrawal: pct_accepted in 70.19 +/- 7",
-                abs(without.pct_accepted - 70.19) <= 7.0,
-                f"{without.pct_accepted:.2f}",
-            ),
-            (
-                "no withdrawal: profit_pct in 884.17 +/- 20%",
-                abs(without.amm_profit_pct - 884.17) <= 0.20 * 884.17,
-                f"{without.amm_profit_pct:.2f}",
-            ),
-            (
-                "1-day/50% withdrawal: pct_accepted in 35.87 +/- 7",
-                abs(with_.pct_accepted - 35.87) <= 7.0,
-                f"{with_.pct_accepted:.2f}",
-            ),
+            *criterion3_checks(without, with_),
             ("runtime under 10 s per batch", per_batch < 10.0, f"{per_batch:.2f}s"),
         ],
     )
@@ -207,17 +262,9 @@ def test_criterion3_diagnostic_reference_reconstruction(sweep):
     """The criterion-3 targets are hit by configuration 1.1 at a 1-day period."""
     sweep_dir, _ = sweep
     metrics = cell_metrics(sweep_dir, "1.1", 1)
-    without, with_ = metrics["no_withdrawal"], metrics["withdrawal"]
     report(
         "criterion 3 diagnostic: reference values reconstructed from 1.1 at 1-day period",
-        [
-            ("1.1 no withdrawal: pct_accepted in 70.19 +/- 7",
-             abs(without["pct_accepted"] - 70.19) <= 7.0, f"{without['pct_accepted']}"),
-            ("1.1 no withdrawal: profit_pct in 884.17 +/- 20%",
-             abs(without["amm_profit_pct"] - 884.17) <= 0.20 * 884.17, f"{without['amm_profit_pct']}"),
-            ("1.1 daily withdrawal: pct_accepted in 35.87 +/- 7",
-             abs(with_["pct_accepted"] - 35.87) <= 7.0, f"{with_['pct_accepted']}"),
-        ],
+        criterion3_checks(metrics["no_withdrawal"], metrics["withdrawal"]),
     )
 
 
@@ -225,30 +272,9 @@ def test_criterion3_diagnostic_reference_reconstruction(sweep):
 
 def test_criterion4_scenario_orderings(sweep):
     sweep_dir, _ = sweep
-    profit = {
-        sid: cell_metrics(sweep_dir, sid, 30)["no_withdrawal"]["amm_profit_pct"]
-        for sid in ("1.1", "1.2", "1.3", "1.4", "2.1", "2.2", "2.3", "5.1", "5.2", "5.3")
-    }
-    accepted = {
-        sid: cell_metrics(sweep_dir, sid, 30)["no_withdrawal"]["pct_accepted"]
-        for sid in ("3.1", "3.2", "3.3")
-    }
     report(
         "criterion 4: scenario orderings (100-simulation batch means)",
-        [
-            ("profit 1.1 < 1.2 < 1.3 < 1.4",
-             profit["1.1"] < profit["1.2"] < profit["1.3"] < profit["1.4"],
-             f"{[profit[s] for s in ('1.1', '1.2', '1.3', '1.4')]}"),
-            ("profit 2.1 > 2.2 > 2.3",
-             profit["2.1"] > profit["2.2"] > profit["2.3"],
-             f"{[profit[s] for s in ('2.1', '2.2', '2.3')]}"),
-            ("accepted 3.1 > 3.2 > 3.3",
-             accepted["3.1"] > accepted["3.2"] > accepted["3.3"],
-             f"{[accepted[s] for s in ('3.1', '3.2', '3.3')]}"),
-            ("profit 5.1 > 5.2 > 5.3",
-             profit["5.1"] > profit["5.2"] > profit["5.3"],
-             f"{[profit[s] for s in ('5.1', '5.2', '5.3')]}"),
-        ],
+        criterion4_checks(functools.partial(cell_metrics, sweep_dir)),
     )
 
 
@@ -256,22 +282,39 @@ def test_criterion4_scenario_orderings(sweep):
 
 def test_criterion5_attack_resilience_boundaries(sweep):
     sweep_dir, _ = sweep
-    drained = cell_metrics(sweep_dir, "hack-q10-h100", 30)["no_withdrawal"]["amm_profit_pct"]
-    profitable = cell_metrics(sweep_dir, "hack-q49-h10", 30)["no_withdrawal"]["amm_profit_pct"]
-    flip = cell_metrics(sweep_dir, "hack-q49-h100", 30)
-    flip_without = flip["no_withdrawal"]["amm_profit_pct"]
-    flip_with = flip["withdrawal"]["amm_profit_pct"]
     report(
         "criterion 5: attack resilience boundaries",
-        [
-            ("q=0.10 h=1.00: profit_pct <= -95", drained <= -95.0, f"{drained}"),
-            ("q=0.49 h=0.10 no withdrawal: profit_pct positive within 2,300 +/- 25%",
-             0.0 < profitable and abs(profitable - 2_300.0) <= 575.0, f"{profitable}"),
-            ("q=0.49 h=1.00 period 30: negative without withdrawal",
-             flip_without < 0.0, f"{flip_without}"),
-            ("q=0.49 h=1.00 period 30: positive with withdrawal",
-             flip_with > 0.0, f"{flip_with}"),
-        ],
+        criterion5_checks(functools.partial(cell_metrics, sweep_dir)),
+    )
+
+
+# --- criteria 3-5 at more seeds ------------------------------------------------
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_claims_hold_at_seeds_1_to_3(seed):
+    """Criteria 3-5 on the sweep's 150 batches, run in memory at another seed."""
+    configs = [
+        scenario_preset(scenario_id, withdrawal_period_days=period, seed=seed)
+        for scenario_id in SWEEP_IDS
+        for period in WITHDRAWAL_PERIODS
+    ]
+    batches = iter(run_batches([
+        config.replace(withdrawal_enabled=enabled) for config in configs for enabled in (False, True)
+    ]))
+    records = {
+        (config.scenario_id, config.withdrawal_period_days):
+            metrics_record(CellResult(next(batches), next(batches)))["metrics"]
+        for config in configs
+    }
+
+    def metrics(scenario_id: str, period: int) -> dict:
+        return records[scenario_id, period]
+
+    reference = metrics("1.1", 1)
+    report(
+        f"criteria 3-5 at seed {seed}",
+        criterion3_checks(reference["no_withdrawal"], reference["withdrawal"])
+        + criterion4_checks(metrics) + criterion5_checks(metrics),
     )
 
 
@@ -369,6 +412,20 @@ def test_report_bytes_match_pinned_digests(sweep, tmp_path):
     actual = report_digests.run_gate(tmp_path, done={report_digests.FULL_SWEEP: sweep[0]})
     moved = report_digests.moved(expected, actual)
     assert not moved, "report files moved:\n" + "\n".join(moved)
+
+
+def test_pinned_digests_record_the_results_version():
+    """The digests were pinned at this results version, and rewriting the
+    digest of a file already pinned takes a new version."""
+    stored = json.loads(report_digests.DIGESTS.read_text(encoding="utf-8"))
+    assert stored[report_digests.VERSION_KEY] == reports.RESULTS_VERSION
+    pinned = {"run": {"cell": {"a.csv": "1", "b.csv": "2"}}}  # no stored version reads as 0
+    actual = {"run": {"cell": {"a.csv": "1", "b.csv": "3", "new.csv": "4"}}}
+    assert report_digests.overwritten(pinned, actual, 0) == ["run/cell/b.csv"]
+    assert report_digests.overwritten(pinned, actual, 1) == []
+    versioned = {report_digests.VERSION_KEY: 1, **pinned}
+    assert report_digests.overwritten(versioned, actual, 1) == ["run/cell/b.csv"]
+    assert report_digests.overwritten(versioned, actual, 2) == []
 
 
 # --- criterion 7: full-sweep reproduction run ----------------------------------

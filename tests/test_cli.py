@@ -479,8 +479,25 @@ class TestSweep:
         for name in names:
             assert (cell / name).read_bytes() == (alone / "2.3_p30" / name).read_bytes(), name
 
+    def test_cells_of_another_results_version_are_recomputed(
+        self, sims1_dir, capsys, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "sweep"
+        shutil.copytree(sims1_dir, out)
+        monkeypatch.setattr(reports, "RESULTS_VERSION", reports.RESULTS_VERSION + 1)
+        capsys.readouterr()
+        assert main(["sweep", "--sims", "1", "--out", str(out)]) == 0
+        assert "skipping" not in capsys.readouterr().out
+        cells = [cell for cell in out.iterdir() if cell.is_dir()]
+        assert len(cells) == 75
+        for cell in cells:
+            record = json.loads((cell / "config.json").read_text(encoding="utf-8"))
+            assert record["results_version"] == reports.RESULTS_VERSION
+
     @pytest.mark.parametrize(
-        "damage", ["truncated", "foreign", "non_utf8", "deeply_nested", "deeply_nested_config"]
+        "damage",
+        ["truncated", "foreign", "non_utf8", "deeply_nested", "deeply_nested_config",
+         "nan_profit", "infinite_difference"],
     )
     def test_damaged_metrics_record_is_recomputed(self, sims1_dir, capsys, tmp_path, damage):
         out = tmp_path / "sweep"
@@ -495,6 +512,12 @@ class TestSweep:
             assert main(["simulate", "--scenario", "2.3", "--sims", "1", "--seed", "5",
                          "--out", str(tmp_path / "seed5")]) == 0
             shutil.copy(tmp_path / "seed5" / "2.3_p30" / "metrics.json", path)
+        elif damage in ("nan_profit", "infinite_difference"):
+            # json writes and reads these as NaN and Infinity
+            record = json.loads(path.read_text(encoding="utf-8"))
+            column = "withdrawal" if damage == "nan_profit" else "difference_pct"
+            record["metrics"][column]["amm_profit"] = float("nan" if damage == "nan_profit" else "inf")
+            path.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
         else:
             path.write_bytes(path.read_bytes() + b"\xff")
         capsys.readouterr()

@@ -197,8 +197,7 @@ class TestTimeseriesExport:
     def test_negative_value_rounding_to_zero_writes_minus_zero(self):
         batch = _stub_batch(0.0)
         series = DailySeries(
-            np.array([-0.001, 0.0, 1.005]), np.zeros(3), np.array([-0.001, 0.0, 1.005]),
-            np.zeros(3),
+            np.array([[-0.001, 0.0, -0.001, 0.0], [0.0] * 4, [1.005, 0.0, 1.005, 0.0]])
         )
         batch = BatchResult(batch.config, batch.metrics, series, batch.per_run)
         lines = _timeseries_text(batch).splitlines()
@@ -339,7 +338,6 @@ def _stub_batch(profit, scenario_id="stub", period=30):
     config = ScenarioConfig(
         scenario_id=scenario_id, n_simulations=1, withdrawal_period_days=period
     )
-    zeros = np.zeros(3)
     metrics = SimulationMetrics(
         n_simulations=1, horizon_days=3, total_invoices=0,
         avg_accepted=0.0, pct_accepted=0.0, avg_paid=0.0, pct_paid_of_accepted=0.0,
@@ -349,7 +347,7 @@ def _stub_batch(profit, scenario_id="stub", period=30):
         remaining_premium=0.0, remaining_premium_x_ic=0.0,
         final_volume=profit + 10_000.0, amm_profit=profit, amm_profit_pct=profit / 100.0,
     )
-    series = DailySeries(zeros, zeros, zeros, zeros)
+    series = DailySeries(np.zeros((3, 4)))
     return BatchResult(config=config, metrics=metrics, mean_series=series, per_run=(metrics,))
 
 
