@@ -207,9 +207,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     rows = [diff_row_from_metrics_record(records[cell_dir]) for cell_dir in cells]
     rows = [row for row in rows if row is not None]
+    report_path = Path(args.out) / "diff_report.csv"
     if rows:
-        report_path = write_diff_rows(rows, Path(args.out) / "diff_report.csv")
+        write_diff_rows(rows, report_path)
         print(f"policy difference report written to {report_path}")
+    else:  # no cell holds both policies, so an earlier report would be stale
+        report_path.unlink(missing_ok=True)
     return 0
 
 

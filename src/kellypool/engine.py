@@ -22,9 +22,10 @@ share one decoded stream per simulation, and series sums are reduced in
 simulation order, so a batch's result does not depend on which other
 batches ran beside it.  A pass steps batches of different horizons to
 the longest one; a lane gets no events past its own horizon, so its
-state stays as it ended there and its series is cut there.  A batch of
-more lanes than the pass budget runs in passes of consecutive
-simulations, each carrying the series sums of the ones before it.
+state stays as it ended there and its series is cut there.  Each pass
+runs one range of consecutive simulations, at most the pass budget of
+lanes; a batch whose lanes exceed it runs in several ranges, each
+carrying the series sums of the ones before it.
 """
 
 from __future__ import annotations
@@ -297,11 +298,11 @@ def run_batches(configs: Sequence[ScenarioConfig]) -> list[BatchResult]:
 
     Configs that differ only in ``scenario_id`` or in withdrawal settings
     share one decoded stream per simulation, and the no-withdrawal batch
-    is simulated once whatever its withdrawal period.  Lanes run in
-    passes of one simulation count, at most ``_LANE_BUDGET`` lanes each;
-    a pass mixes horizons, and a batch of more lanes than the budget runs
-    in passes of consecutive simulations.  A pass of a single lane runs
-    ``run_simulation``.  Each ``BatchResult`` keeps its own config.
+    is simulated once whatever its withdrawal period.  Lanes run in the
+    passes of ``_plan_passes``: one range of simulations each, at most
+    ``_LANE_BUDGET`` lanes, mixing streams and horizons.  A batch of one
+    simulation that has a pass to itself runs ``run_simulation``.  Each
+    ``BatchResult`` keeps its own config.
     """
     requests: dict[tuple, list[int]] = {}
     for index, config in enumerate(configs):
@@ -310,9 +311,14 @@ def run_batches(configs: Sequence[ScenarioConfig]) -> list[BatchResult]:
     groups = {key: configs[indices[0]] for key, indices in requests.items()}
     per_run: dict[tuple, list[SimulationMetrics]] = {key: [] for key in groups}
     sums: dict[tuple, np.ndarray] = {}
-    for keys, sims in _plan_passes(groups):
-        carried = np.stack([sums[key] for key in keys], axis=2) if sims.start else None
-        outputs = _run_pass([groups[key] for key in keys], sims, carried)
+    for streams, sims in _plan_passes(groups):
+        keys = [key for stream in streams for key in stream]
+        if len(keys) == 1 and groups[keys[0]].n_simulations == 1:
+            result = run_simulation(groups[keys[0]], 0)
+            outputs = [((result.metrics,), result.series.table)]
+        else:
+            carried = [sums[key] for key in keys] if sims.start else None
+            outputs = _run_lanes([[groups[k] for k in stream] for stream in streams], sims, carried)
         for key, (runs, series_sums) in zip(keys, outputs):
             per_run[key].extend(runs)
             sums[key] = series_sums
@@ -343,53 +349,39 @@ def _lane_key(config: ScenarioConfig) -> tuple[tuple, tuple[int, float] | None]:
     return tuple(getattr(config, name) for name in _STREAM_FIELDS), policy
 
 
-def _plan_passes(groups: dict[tuple, ScenarioConfig]) -> list[tuple[list[tuple], range]]:
-    """Batch groups in passes of one simulation count: (lane keys, simulations).
+def _plan_passes(groups: dict[tuple, ScenarioConfig]) -> list[tuple[list[list[tuple]], range]]:
+    """Batch groups in passes: (streams of lane keys, simulations).
 
-    Groups that share a stream stay in one pass, so each stream is
-    decoded once (a stream with more groups than the budget is split
-    into chunks of that many).  Streams are taken in horizon order, so
-    the lanes of a pass end close together, and passes fill up to the
-    lane budget.  The groups of a stream that exceed the budget alone
-    run in passes of consecutive simulations.
+    A stream's groups form units of at most ``_LANE_BUDGET`` groups, so
+    each unit decodes its stream once per pass.  A unit's simulations are
+    cut into consecutive ranges of at most ``_LANE_BUDGET // len(unit)``;
+    units of the same range fill passes up to the budget in horizon
+    order, so the lanes of a pass end close together.  Passes run in order
+    of their first simulation, so each group's ranges run in simulation
+    order, each carrying the series sums of the ones before it.
     """
     streams: dict[tuple, list[tuple]] = {}
     for key in groups:
         streams.setdefault(key[0], []).append(key)
-    buckets: dict[int, list[list[tuple]]] = {}
+    by_range: dict[range, list[list[tuple]]] = {}
     for keys in sorted(streams.values(), key=lambda keys: groups[keys[0]].horizon_days):
-        for start in range(0, len(keys), _LANE_BUDGET):
-            buckets.setdefault(groups[keys[0]].n_simulations, []).append(
-                keys[start:start + _LANE_BUDGET]
-            )
+        n_sims = groups[keys[0]].n_simulations
+        for first in range(0, len(keys), _LANE_BUDGET):
+            unit = keys[first:first + _LANE_BUDGET]
+            step = _LANE_BUDGET // len(unit)
+            for start in range(0, n_sims, step):
+                by_range.setdefault(range(start, min(start + step, n_sims)), []).append(unit)
     passes = []
-    for n_sims, bucket in buckets.items():
-        current: list[tuple] = []
-        for unit in bucket:
-            if n_sims * len(unit) > _LANE_BUDGET:
-                step = _LANE_BUDGET // len(unit)
-                passes.extend(
-                    (unit, range(start, min(start + step, n_sims)))
-                    for start in range(0, n_sims, step)
-                )
-                continue
-            if current and n_sims * (len(current) + len(unit)) > _LANE_BUDGET:
-                passes.append((current, range(n_sims)))
+    for sims, units in by_range.items():
+        current: list[list[tuple]] = []
+        for unit in units:
+            if current and len(sims) * (sum(map(len, current)) + len(unit)) > _LANE_BUDGET:
+                passes.append((current, sims))
                 current = []
-            current.extend(unit)
+            current.append(unit)
         if current:
-            passes.append((current, range(n_sims)))
-    return passes
-
-
-def _run_pass(
-    configs: list[ScenarioConfig], sims: range, carried: np.ndarray | None
-) -> list[tuple[tuple[SimulationMetrics, ...], np.ndarray]]:
-    """Per batch group of one pass: per-run metrics and day-wise series sums."""
-    if len(configs) == 1 and configs[0].n_simulations == 1:
-        result = run_simulation(configs[0], 0)
-        return [((result.metrics,), result.series.table)]
-    return _run_lanes(configs, sims, carried)
+            passes.append((current, sims))
+    return sorted(passes, key=lambda plan: plan[1].start)
 
 
 # Rows of the lane ledger.  The order makes every set of accumulators
@@ -412,25 +404,23 @@ def _two_sum(value: np.ndarray, carry: np.ndarray, delta: np.ndarray) -> None:
 
 
 def _run_lanes(
-    group_configs: list[ScenarioConfig], sims: range, carried: np.ndarray | None
+    units: list[list[ScenarioConfig]], sims: range, carried: list[np.ndarray] | None
 ) -> list[tuple[tuple[SimulationMetrics, ...], np.ndarray]]:
     """Step the given simulations of the given batch groups through the days at once.
 
-    Lane ``k * n_groups + g`` is the k-th simulation of group ``g``, so a
-    group's lanes in simulation order are one column of a
-    ``(n_sims, n_groups)`` view.  Each day repeats ``run_simulation``'s
-    float operations in its order, per lane, and checks the conservation
-    identity of every lane.  The pass runs to its longest horizon; a lane
-    whose horizon comes earlier gets no events from that day on, so its
-    state stays as it ended.  ``carried`` holds each group's series sums
-    over the simulations before ``sims``, as this function returns them.
+    Each unit holds the groups of one stream, decoded once from its first
+    config.  Lane ``k * n_groups + g`` is the k-th simulation of group
+    ``g``, counting across units, so a group's lanes in simulation order
+    are one column of a ``(n_sims, n_groups)`` view.  Each day repeats
+    ``run_simulation``'s float operations in its order, per lane, and
+    checks the conservation identity of every lane.  The pass runs to its
+    longest horizon; a lane whose horizon comes earlier gets no events
+    from that day on, so its state stays as it ended.  ``carried`` holds
+    each group's series sums over the simulations before ``sims`` (zero
+    past its horizon), as this function returns them.
     """
-    streams = [_lane_key(config)[0] for config in group_configs]
-    first_config: dict[tuple, ScenarioConfig] = {}
-    for stream, config in zip(streams, group_configs):
-        first_config.setdefault(stream, config)
-    unit_of = {stream: unit for unit, stream in enumerate(first_config)}
-    stream_configs = list(first_config.values())
+    stream_configs = [unit[0] for unit in units]
+    group_configs = [config for unit in units for config in unit]
     n_sims = len(sims)
     horizon = max(config.horizon_days for config in stream_configs)
     n_groups = len(group_configs)
@@ -439,8 +429,13 @@ def _run_lanes(
     q_table, amount_table, due_table, repays_table, deposit_table, depth = _invoice_tables(
         stream_configs, sims, horizon
     )
-    group_unit = np.array([unit_of[stream] for stream in streams])
+    group_unit = np.repeat(np.arange(len(units)), [len(unit) for unit in units])
     lane_column = (group_unit[None, :] * n_sims + np.arange(n_sims)[:, None]).ravel()
+    if carried is not None:
+        padded = np.zeros((horizon, 4, n_groups))
+        for group, group_sums in enumerate(carried):
+            padded[: len(group_sums), :, group] = group_sums
+        carried = padded
 
     def per_lane(values, dtype=np.float64) -> np.ndarray:
         return np.tile(np.asarray(values, dtype=dtype), n_sims)

@@ -15,7 +15,7 @@ rounded columns, from no withdrawal to withdrawal, rounded at 4
 decimals; it is left empty where that is None.
 A cell's file set is one table of file name to text (``_cell_texts``),
 which ``export_bundle`` writes into the cell directory.  Every file is
-written atomically (temp file plus rename), and ``config.json`` last,
+written atomically (``<name>.tmp`` plus rename), and ``config.json`` last,
 so ``complete_cell_record`` can tell a cell that holds its full file
 set and hand back its metrics record.
 """
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import fields
 from decimal import ROUND_HALF_UP, Decimal
 from operator import attrgetter
@@ -169,8 +168,9 @@ class ReportBundle(CellResult):
 
 
 def _atomic_write(path: Path, text: str) -> Path:
-    """Write ``text`` to ``path`` through a temp file in its directory, then rename."""
-    fd, temp = tempfile.mkstemp(dir=path.parent)
+    """Write ``text`` through ``<name>.tmp`` beside ``path``, made as ``open`` would, then rename."""
+    temp = path.with_name(path.name + ".tmp")
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NOFOLLOW, 0o666)
     try:
         with open(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)

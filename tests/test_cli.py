@@ -442,6 +442,13 @@ class TestSweep:
             "runs_withdrawal.csv", "timeseries_withdrawal.csv",
         ]
 
+    def test_sweep_without_paired_cells_removes_the_diff_report(self, capsys, tmp_path):
+        # the paired run's report would list no-withdrawal profits the cells no longer hold
+        assert main(["sweep", "--sims", "1", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "diff_report.csv").exists()
+        assert main(["sweep", "--sims", "1", "--policy", "with", "--out", str(tmp_path)]) == 0
+        assert not (tmp_path / "diff_report.csv").exists()
+
     @pytest.mark.parametrize(
         "name", ["metrics.csv", "timeseries_withdrawal.csv", "runs_no_withdrawal.csv"]
     )

@@ -345,18 +345,22 @@ def sweep_batch_configs(n_simulations):
     ]
 
 
-@pytest.mark.parametrize("n_simulations,n_passes", [(2, 1), (100, 5)])
+@pytest.mark.parametrize("n_simulations,n_passes", [(2, 1), (100, 5), (600, 30)])
 def test_sweep_horizons_share_passes(n_simulations, n_passes):
     configs = sweep_batch_configs(n_simulations)
     groups = {}
     for config in configs:
         groups.setdefault(engine._lane_key(config), config)
     assert (len(configs), len(groups)) == (150, 100)
-    passes = engine._plan_passes(groups)
+    passes = [
+        ([key for stream in streams for key in stream], sims)
+        for streams, sims in engine._plan_passes(groups)
+    ]
     assert len(passes) == n_passes
     assert all(len(keys) * len(sims) <= engine._LANE_BUDGET for keys, sims in passes)
-    # every simulation of every group runs exactly once
+    # every simulation of every group runs exactly once, in simulation order
     planned = [(key, sim) for keys, sims in passes for key in keys for sim in sims]
+    assert [sims.start for _, sims in passes] == sorted(sims.start for _, sims in passes)
     assert len(planned) == len(set(planned))
     assert set(planned) == {(key, sim) for key in groups for sim in range(n_simulations)}
 
@@ -385,9 +389,9 @@ def test_lane_budget_bounds_every_pass(monkeypatch, make_configs):
     stepped = []
     original = engine._run_lanes
 
-    def counting(configs, sims, carried):
-        stepped.append(len(configs) * len(sims))
-        return original(configs, sims, carried)
+    def counting(units, sims, carried):
+        stepped.append(sum(map(len, units)) * len(sims))
+        return original(units, sims, carried)
 
     monkeypatch.setattr(engine, "_run_lanes", counting)
     configs = make_configs()
@@ -395,6 +399,30 @@ def test_lane_budget_bounds_every_pass(monkeypatch, make_configs):
         assert_same_batch(result, scalar_batch(config))
     assert max(stepped) <= 4
     assert sum(stepped) == sum(config.n_simulations for config in configs)
+
+
+def test_stream_tails_of_different_horizons_share_a_continued_pass(monkeypatch):
+    # each stream's 3 simulations x 2 policies exceed the budget of 4 lanes,
+    # so simulations 0-1 run per stream and both streams' simulation 2 runs
+    # in one pass, whose carried sums are padded to the longer horizon
+    monkeypatch.setattr(engine, "_LANE_BUDGET", 4)
+    passes = []
+    original = engine._run_lanes
+
+    def recording(units, sims, carried):
+        passes.append(([unit[0].horizon_days for unit in units], sims))
+        return original(units, sims, carried)
+
+    monkeypatch.setattr(engine, "_run_lanes", recording)
+    configs = [
+        config
+        for base in (scenario_preset("3.1", n_simulations=3, n_invoices=30),
+                     scenario_preset("1.3", n_simulations=3, n_invoices=45))
+        for config in (base, base.replace(withdrawal_enabled=True, withdrawal_period_days=1))
+    ]
+    for config, result in zip(configs, run_batches(configs)):
+        assert_same_batch(result, scalar_batch(config))
+    assert any(sims.start > 0 and len(set(horizons)) > 1 for horizons, sims in passes)
 
 
 @pytest.mark.parametrize(
@@ -517,7 +545,7 @@ LARGE_POOL = dict(
 def test_large_pool_gets_one_verdict_from_both_engines():
     for seed in range(50):
         config = ScenarioConfig(seed=seed, **LARGE_POOL)
-        ((lane_runs, _),) = engine._run_lanes([config], range(1), None)
+        ((lane_runs, _),) = engine._run_lanes([[config]], range(1), None)
         assert metric_values(lane_runs[0]) == metric_values(run_simulation(config, 0).metrics)
 
 

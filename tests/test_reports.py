@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import os
+import stat
 from decimal import InvalidOperation
 from pathlib import Path
 
@@ -247,8 +249,15 @@ class TestIntegerFields:
         assert "\ntotal_collateral_covered,0,0,0.0\n" in metrics
 
 
+@pytest.fixture
+def umask_022():
+    previous = os.umask(0o022)
+    yield
+    os.umask(previous)
+
+
 class TestExportBundle:
-    def test_writes_full_file_set(self, paired_cell, tmp_path):
+    def test_writes_full_file_set(self, paired_cell, tmp_path, umask_022):
         written = export_bundle(paired_cell, tmp_path / "cell")
         assert [p.name for p in written] == [
             "metrics.json",
@@ -261,8 +270,21 @@ class TestExportBundle:
         ]
         texts = _cell_texts(paired_cell)
         assert [p.read_text(encoding="utf-8") for p in written] == list(texts.values())
-        leftovers = [p for p in (tmp_path / "cell").iterdir() if p.name.startswith("tmp")]
-        assert leftovers == []
+        # nothing beside the file set, and each file as open() would make it
+        assert sorted(p.name for p in (tmp_path / "cell").iterdir()) == sorted(
+            p.name for p in written
+        )
+        report = write_diff_rows(diff_report_rows([paired_cell]), tmp_path / "diff.csv")
+        assert {stat.S_IMODE(p.stat().st_mode) for p in [*written, report]} == {0o644}
+
+    def test_write_does_not_follow_a_planted_symlink(self, paired_cell, tmp_path):
+        cell, target = tmp_path / "cell", tmp_path / "elsewhere.txt"
+        target.write_text("untouched")
+        cell.mkdir()
+        (cell / "metrics.json.tmp").symlink_to(target)
+        with pytest.raises(OSError):
+            export_bundle(paired_cell, cell)
+        assert target.read_text() == "untouched"
 
     def test_config_snapshot_reproduces_batch(self, paired_cell, tmp_path):
         export_bundle(paired_cell, tmp_path / "cell")
