@@ -64,8 +64,8 @@ from .scenarios import (
 _CONSERVATION_GUARD = 1e-6
 
 # Most lanes one pass steps at once.  A pass holds its invoice tables
-# (about 25 bytes per invoice and stream column), so its memory grows with
-# its lane count; more, smaller passes cost more per-day array calls.
+# (20 bytes per arriving invoice and stream column), so its memory grows
+# with its lane count; more, smaller passes cost more per-day array calls.
 _LANE_BUDGET = 2048
 
 # Most raw generator words (8 bytes each) decoded at once: a pass decodes
@@ -194,16 +194,9 @@ def run_simulation(config: ScenarioConfig, sim_index: int = 0) -> SimulationResu
     for day in range(horizon):
         series[day] = pool.liquidity, pool.premium_reserve, pool.volume, pool.cumulative_withdrawn
 
-        arriving = None
-        if day < config.max_entry_days and day < len(invoices):
-            arriving = invoices[day]
-        run_day(pool, day, due.pop(day, ()), arriving, config, float(deposits[day]))
-        if (
-            arriving is not None
-            and arriving.accepted
-            and not arriving.defaults
-            and arriving.due_day < horizon
-        ):
+        arriving = invoices[day] if day < config.n_arrivals else None
+        outcome = run_day(pool, day, due.pop(day, ()), arriving, config, float(deposits[day]))
+        if isinstance(outcome, PremiumQuote) and not arriving.defaults and arriving.due_day < horizon:
             due.setdefault(arriving.due_day, []).append(arriving)
 
         residual = conservation_residual(
@@ -245,14 +238,13 @@ def _summary(
 ) -> SimulationMetrics:
     initial = config.initial_collateral
     n_unpaid = n_accepted - n_paid
-    total = min(config.n_invoices, config.max_entry_days)  # one arrival a day
     profit = volume + withdrawn - initial
     return SimulationMetrics(
         n_simulations=1,
         horizon_days=config.horizon_days,
-        total_invoices=total,
+        total_invoices=config.n_arrivals,
         avg_accepted=float(n_accepted),
-        pct_accepted=100.0 * n_accepted / total if total else 0.0,
+        pct_accepted=100.0 * n_accepted / config.n_arrivals if config.n_arrivals else 0.0,
         avg_paid=float(n_paid),
         pct_paid_of_accepted=100.0 * n_paid / n_accepted if n_accepted else 0.0,
         avg_unpaid=float(n_unpaid),
@@ -426,7 +418,7 @@ def _run_lanes(
     n_groups = len(group_configs)
     n_lanes = n_sims * n_groups
 
-    q_table, amount_table, due_table, repays_table, deposit_table, depth = _invoice_tables(
+    q_table, amount_table, due_table, deposit_table, depth = _invoice_tables(
         stream_configs, sims, horizon
     )
     group_unit = np.repeat(np.arange(len(units)), [len(unit) for unit in units])
@@ -440,8 +432,6 @@ def _run_lanes(
     def per_lane(values, dtype=np.float64) -> np.ndarray:
         return np.tile(np.asarray(values, dtype=dtype), n_sims)
 
-    limit = per_lane([min(c.max_entry_days, c.n_invoices) for c in group_configs], np.int64)
-    last_arrival = int(limit.max())
     initial_funds = np.stack([
         per_lane([c.initial_collateral for c in group_configs]),
         per_lane([c.initial_premium for c in group_configs]),
@@ -506,13 +496,13 @@ def _run_lanes(
                 pair[:] = deposit_table[day][lane_column]
                 _two_sum(ledger[_LP:_LIQ + 1], carry[_LP:_LIQ + 1], pair)
 
-            if day < last_arrival:
+            if day < len(amount_table):
                 q = q_table[day][lane_column]
                 demanded = amount_table[day][lane_column]
                 volume = liquidity + premium
                 f = demanded / volume
                 denominator = 1.0 - q * (f + 1.0)
-                accepted = (denominator > 0.0) & (demanded <= volume) & (day < limit)
+                accepted = (denominator > 0.0) & (demanded <= volume)
                 if accepted.any():
                     lent = np.where(accepted, demanded, 0.0)
                     fee = np.where(accepted, q * q / denominator * demanded, 0.0)
@@ -535,13 +525,14 @@ def _run_lanes(
 
                     n_accepted += accepted
                     covered += lent
-                    repays = accepted & repays_table[day][lane_column]
+                    due_today = due_table[day][lane_column]
+                    repays = accepted & (due_today >= 0)
                     n_paid += repays
                     # finalize_losses sums the never-returned invoices in invoice order
                     loss += np.where(accepted ^ repays, demanded, 0.0)
                     lanes = np.flatnonzero(repays)
                     if lanes.size:
-                        slots = due_table[day][lane_column[lanes]] % ring_days
+                        slots = due_today[lanes] % ring_days
                         position = due_count[slots, lanes]
                         due_amounts[slots, position, lanes] = demanded[lanes]
                         due_count[slots, lanes] += 1
@@ -613,43 +604,45 @@ def _invoice_tables(stream_configs: list[ScenarioConfig], sims: range, horizon: 
     stream, and the repayment ring's depth.
 
     Column ``u * len(sims) + k`` is simulation ``sims[k]`` of
-    ``stream_configs[u]``.  Invoice i arrives on day i, so once accepted
-    it is due on day i + delay; ``repays`` marks the invoices that then
-    come back within their stream's horizon, and the depth is the most of
-    them that one column has due on one day.  Deposits are zero past a
-    stream's horizon, up to the pass's ``horizon``; the deposit table is
-    None when no stream has deposits.  Each stream is decoded in chunks of
-    consecutive simulations of at most ``_DECODE_WORDS`` raw words (at
-    least one simulation), each copied into its columns before the next.
+    ``stream_configs[u]``.  Row i holds invoice i, arriving on day i, of
+    each stream that has it among its ``n_arrivals``, else a NaN amount,
+    which no lane accepts.  ``due`` holds the day an invoice comes back, or
+    -1 when it defaults or would come back past its stream's horizon; the
+    depth is the most invoices that one column has due on one day.
+    Deposits are zero past a stream's horizon, up to ``horizon``; the
+    deposit table is None when no stream has deposits.  Each stream is
+    decoded in chunks of consecutive simulations of at most
+    ``_DECODE_WORDS`` raw words (or one simulation), copied in one by one.
     """
     n_sims = len(sims)
-    n_rows = max(config.n_invoices for config in stream_configs)
+    n_rows = max(config.n_arrivals for config in stream_configs)
     n_columns = n_sims * len(stream_configs)
     q = np.zeros((n_rows, n_columns))
-    amount = np.zeros((n_rows, n_columns))
-    due = np.zeros((n_rows, n_columns), dtype=np.int64)
-    repays = np.zeros((n_rows, n_columns), dtype=bool)
+    amount = np.full((n_rows, n_columns), np.nan)
+    due = np.full((n_rows, n_columns), -1, dtype=np.int32)
     deposits = None
     depth = 0
     for unit, config in enumerate(stream_configs):
-        n = config.n_invoices
+        n = config.n_arrivals
         step = max(1, _DECODE_WORDS // stream_words(config))
         for start in range(0, n_sims, step):
             stream = decode_streams(config, sims[start:start + step])
             width = len(stream.q)
             columns = slice(unit * n_sims + start, unit * n_sims + start + width)
-            q[:n, columns] = stream.q.T
-            amount[:n, columns] = stream.amount.T
-            due[:n, columns] = np.arange(n)[:, None] + stream.delay.T
-            repays[:n, columns] = ~stream.defaults.T & (due[:n, columns] < config.horizon_days)
-            # one key per (due day, column) of each invoice that can repay
-            keys = (due[:n, columns] * width + np.arange(width))[repays[:n, columns]]
+            q[:n, columns] = stream.q[:, :n].T
+            amount[:n, columns] = stream.amount[:, :n].T
+            due_day = np.arange(n)[:, None] + stream.delay[:, :n].T
+            due_day[stream.defaults[:, :n].T | (due_day >= config.horizon_days)] = -1
+            due[:n, columns] = due_day
+            # one key per (due day, column) of each invoice that can repay,
+            # in int64: due_day * width can pass 2**31
+            keys = (due_day * width + np.arange(width))[due_day >= 0]
             depth = max(depth, int(np.unique(keys, return_counts=True)[1].max(initial=0)))
             if stream.deposits is not None:
                 if deposits is None:
                     deposits = np.zeros((horizon, n_columns))
                 deposits[: config.horizon_days, columns] = stream.deposits.T
-    return q, amount, due, repays, deposits, depth
+    return q, amount, due, deposits, depth
 
 
 def _reduce_lanes(

@@ -88,11 +88,11 @@ class ScenarioConfig:
     Exactly one of ``amount_range`` and ``amount_fraction_of_initial``
     must be set; the latter makes every invoice demand that fixed share
     of the initial collateral.  ``max_entry_days`` defaults to the
-    number of invoices (one arrival per day) and ``horizon_days`` is
-    derived as ``max_entry_days + max delay + additional_days`` so that
-    every genuine invoice can repay before the run ends.  A config
-    outside the envelope (``_MAX_DAYS``, ``_MAX_MONEY`` with premiums,
-    ``q < 1/2``) is rejected.
+    number of invoices; ``n_arrivals``, the smaller of the two, arrive one
+    a day from day 0.  ``horizon_days`` is derived as ``max_entry_days +
+    max delay + additional_days`` so that every genuine invoice can repay
+    before the run ends.  A config outside the envelope (``_MAX_DAYS``,
+    ``_MAX_MONEY`` with premiums, ``q < 1/2``) is rejected.
     """
 
     scenario_id: str = "custom"
@@ -209,6 +209,8 @@ class ScenarioConfig:
                 f"and horizon_days x the LP cap add up to {money:.6g} euros; they must stay "
                 f"below 2**53 cents ({_MAX_MONEY:.6g} euros)"
             )
+
+    n_arrivals = property(lambda self: min(self.n_invoices, self.max_entry_days))
 
     def replace(self, **changes) -> "ScenarioConfig":
         """Copy with fields changed; ``horizon_days`` is derived again unless given.
@@ -358,9 +360,9 @@ def lp_contribution_schedule(config: ScenarioConfig, rng: np.random.Generator) -
     uniform in [0, cap] or exactly the cap in fixed mode.  Returns zeros
     without consuming randomness when contributions are disabled.
     """
-    cap = config.lp_cap_fraction * config.initial_collateral
+    _, _, cap = _draw_layout(config)
     horizon_days = config.horizon_days
-    if config.lp_contribution_probability <= 0.0 or cap <= 0.0:
+    if not cap:
         return np.zeros(horizon_days)
     occurs = rng.random(horizon_days) < config.lp_contribution_probability
     if config.lp_contribution_mode == "fixed":
@@ -401,18 +403,27 @@ def _uniform(lo: float, hi: float, unit: np.ndarray) -> np.ndarray:
     return lo + (hi - lo) * unit
 
 
+def _draw_layout(config: ScenarioConfig) -> tuple[int, bool, float]:
+    """Per invoice, doubles drawn before the bogus flag and whether a delay is drawn
+    (none for an empty range); and the LP deposit cap, 0.0 when deposits draw nothing."""
+    lead = (config.hack_q is None) + (config.amount_fraction_of_initial is None)
+    cap = config.lp_cap_fraction * config.initial_collateral
+    return (lead, config.delay_range_days[1] > config.delay_range_days[0],
+            cap if config.lp_contribution_probability > 0.0 else 0.0)
+
+
+def _words_before(index, per_invoice: int, draws_delay: bool):
+    """Raw words before invoice ``index``: ``per_invoice`` each, and one delay word a pair."""
+    return index * per_invoice + draws_delay * ((index + 1) // 2)
+
+
 def stream_words(config: ScenarioConfig) -> int:
     """Raw PCG64 words ``decode_streams`` reads per simulation of ``config``."""
-    n = config.n_invoices
-    lead = (config.hack_q is None) + (config.amount_fraction_of_initial is None)
-    draws_delay = config.delay_range_days[1] > config.delay_range_days[0]
-    cap = config.lp_cap_fraction * config.initial_collateral
-    lp_on = config.lp_contribution_probability > 0.0 and cap > 0.0
+    lead, draws_delay, cap = _draw_layout(config)
     lp_words = 1 if config.lp_contribution_mode == "fixed" else 2
     return (
-        n * (lead + 2)
-        + draws_delay * ((n + 1) // 2)
-        + (config.horizon_days * lp_words if lp_on else 0)
+        _words_before(config.n_invoices, lead + 2, draws_delay)
+        + (config.horizon_days * lp_words if cap else 0)
         + 1  # a non-payment flag index past a trailing bogus invoice stays in bounds
     )
 
@@ -438,13 +449,8 @@ def decode_streams(config: ScenarioConfig, sim_indices) -> StreamArrays:
     n_sims, n, horizon = len(sims), config.n_invoices, config.horizon_days
     d_lo, d_hi = config.delay_range_days
     span = d_hi - d_lo
-    cap = config.lp_cap_fraction * config.initial_collateral
-    lp_on = config.lp_contribution_probability > 0.0 and cap > 0.0
-    lp_fixed = config.lp_contribution_mode == "fixed"
     draws_q = config.hack_q is None
-    draws_amount = config.amount_fraction_of_initial is None
-    lead = draws_q + draws_amount  # doubles drawn before the bogus flag
-    draws_delay = span > 0  # numpy draws nothing for an empty range
+    lead, draws_delay, cap = _draw_layout(config)
     p_hack = config.hack_probability
 
     n_words = stream_words(config)
@@ -474,16 +480,15 @@ def decode_streams(config: ScenarioConfig, sim_indices) -> StreamArrays:
         # random() < 0 never holds and random() < 1 always does
         always_bogus = p_hack >= 1.0
         per_invoice = lead + 2 - always_bogus
-        index = np.arange(n)
-        starts = np.broadcast_to(index * per_invoice + draws_delay * ((index + 1) // 2), (n_sims, n))
+        starts = np.broadcast_to(_words_before(np.arange(n), per_invoice, draws_delay), (n_sims, n))
         bogus = np.full((n_sims, n), always_bogus)
-        end = np.full(n_sims, n * per_invoice + draws_delay * ((n + 1) // 2))
+        end = np.full(n_sims, _words_before(n, per_invoice, draws_delay))
 
     if draws_q:
         q = _uniform(*config.q_range, unit(starts))
     else:
         q = np.full((n_sims, n), config.hack_q)
-    if draws_amount:
+    if config.amount_fraction_of_initial is None:
         amount = _uniform(*config.amount_range, unit(starts + draws_q))
     else:
         amount = np.full((n_sims, n), config.amount_fraction_of_initial * config.initial_collateral)
@@ -501,10 +506,11 @@ def decode_streams(config: ScenarioConfig, sim_indices) -> StreamArrays:
         delay = np.full((n_sims, n), d_lo, dtype=np.int64)
 
     deposits = None
-    if lp_on:
+    if cap:
         days = end[:, None] + np.arange(horizon)
         occurs = unit(days) < config.lp_contribution_probability
-        amounts = cap if lp_fixed else _uniform(0.0, cap, unit(days + horizon))
+        amounts = (cap if config.lp_contribution_mode == "fixed"
+                   else _uniform(0.0, cap, unit(days + horizon)))
         deposits = np.where(occurs, amounts, 0.0)
 
     streams = StreamArrays(q=q, amount=amount, defaults=defaults, delay=delay, deposits=deposits)

@@ -437,6 +437,9 @@ def test_stream_tails_of_different_horizons_share_a_continued_pass(monkeypatch):
         # the generator fallback of simulations 4 and 18 (see test_scenarios),
         # which land in different chunks
         ([ScenarioConfig(n_invoices=400, delay_range_days=(1, 98_719), seed=69)], 20, 7),
+        # entry windows that end before the stream, at different days
+        ([scenario_preset("2.3", max_entry_days=300),
+          scenario_preset("hack-q49-h50", n_invoices=200, max_entry_days=150)], 10, 3),
     ],
 )
 def test_chunked_decode_gives_the_same_tables(monkeypatch, stream_configs, n_sims, per_chunk):
@@ -466,10 +469,15 @@ def test_single_simulation_chunks_equal_scalar_loop(monkeypatch):
     assert_same_batch(run_batch(config), scalar_batch(config))
 
 
-@pytest.mark.parametrize("scenario_id, bound_mib", [("2.3", 4), ("1.2", 5)])
-def test_paired_batch_memory_is_bounded(scenario_id, bound_mib):
-    # decoding a whole pass at once peaked at 5.5 and 8.2 MiB here
-    config = scenario_preset(scenario_id, n_simulations=100)
+@pytest.mark.parametrize(
+    "scenario_id, bound_mib, n_invoices",
+    [("2.3", 4, 500), ("1.2", 5, 500), ("2.3", 12.5, 5000)],
+    ids=["2.3-4", "1.2-5", "2.3-12.5-5000"],
+)
+def test_paired_batch_memory_is_bounded(scenario_id, bound_mib, n_invoices):
+    # decoding a whole pass at once peaked at 5.5 and 8.2 MiB at 500 invoices;
+    # a separate repays mask and an int64 due table took 13.95 MiB at 5,000
+    config = scenario_preset(scenario_id, n_simulations=100, n_invoices=n_invoices)
     tracemalloc.start()
     try:
         compare_withdrawal(config)
@@ -477,6 +485,33 @@ def test_paired_batch_memory_is_bounded(scenario_id, bound_mib):
     finally:
         tracemalloc.stop()
     assert peak <= bound_mib * 2**20
+
+
+def test_streams_of_different_arrival_windows_share_a_pass(monkeypatch):
+    # one window ends before its stream does, the other after; rows past
+    # the shorter window hold invoices of the longer one only
+    passes = []
+    original = engine._run_lanes
+
+    def recording(units, sims, carried):
+        passes.append([unit[0].n_arrivals for unit in units])
+        return original(units, sims, carried)
+
+    monkeypatch.setattr(engine, "_run_lanes", recording)
+    base = scenario_preset("hack-q49-h50", n_simulations=3, nonpayment_probability=0.2, seed=4)
+    short = base.replace(n_invoices=40, max_entry_days=25)
+    long = base.replace(n_invoices=30, max_entry_days=45)
+    configs = [short, short.replace(withdrawal_enabled=True, withdrawal_period_days=1), long]
+    for config, result in zip(configs, run_batches(configs)):
+        assert_same_batch(result, scalar_batch(config))
+    assert passes == [[25, 30]]
+    # a one-simulation batch takes the scalar loop, so check its lane too
+    monkeypatch.setattr(engine, "_run_lanes", original)
+    for config in (short, long):
+        ((lane_runs, lane_sums),) = engine._run_lanes([[config]], range(1), None)
+        reference = run_simulation(config, 0)
+        assert metric_values(lane_runs[0]) == metric_values(reference.metrics)
+        assert lane_sums.tobytes() == reference.series.table.tobytes()
 
 
 def test_flagged_invoices_never_repay_on_long_horizons():
