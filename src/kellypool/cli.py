@@ -21,6 +21,7 @@ from typing import Iterator
 from .engine import POLICIES, CellResult, run_batches
 from .pool import NonPositiveDenominatorError, PoolState, ZeroVolumeError, quote_premium
 from .reports import (
+    SharedTexts,
     complete_cell_record,
     diff_row_from_metrics_record,
     export_bundle,
@@ -165,19 +166,30 @@ def _cells(
 
 def _export_cells(
     cells: dict[Path, dict[str, ScenarioConfig]]
-) -> Iterator[tuple[Path, CellResult]]:
-    """Run all cells in one ``run_batches``; yield each written cell's directory and result."""
+) -> Iterator[tuple[Path, CellResult, dict]]:
+    """Run all cells in one ``run_batches``; write each cell and yield its
+    directory, result and metrics record.
+
+    The record is built once, for ``metrics.json`` and for the caller.  A
+    batch that several cells hold (a preset's period cells share their
+    no-withdrawal batch) has its time-series and per-run texts encoded once.
+    """
     batches = iter(run_batches([batch for cell in cells.values() for batch in cell.values()]))
-    for cell_dir, batch_configs in cells.items():
-        cell = CellResult(**{name: next(batches) for name in batch_configs})
-        export_bundle(cell, cell_dir)
-        yield cell_dir, cell
+    results = {
+        cell_dir: CellResult(**{name: next(batches) for name in batch_configs})
+        for cell_dir, batch_configs in cells.items()
+    }
+    shared = SharedTexts(results.values())
+    for cell_dir, cell in results.items():
+        record = metrics_record(cell)
+        export_bundle(cell, cell_dir, record, shared)
+        yield cell_dir, cell, record
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cells = _cells(Path(args.out), [_resolve_config(args)], args.policy)
-    for cell_dir, cell in _export_cells(cells):
-        print(format_summary(cell))
+    for cell_dir, cell, record in _export_cells(cells):
+        print(format_summary(cell, record))
         print(f"\nreport bundle written to {cell_dir}")
     return 0
 
@@ -199,8 +211,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             records[cell_dir] = record
             print(f"{cell_dir.name}: already complete, skipping")
 
-    for cell_dir, cell in _export_cells(pending):
-        records[cell_dir] = metrics_record(cell)
+    for cell_dir, cell, record in _export_cells(pending):
+        records[cell_dir] = record
         profits = {name: getattr(cell, name).metrics.amm_profit_pct for name in cell.policies}
         shown = ", ".join(f"{name} profit {value:.2f}%" for name, value in profits.items())
         print(f"{cell_dir.name}: {shown}")

@@ -81,7 +81,9 @@ class DailySeries:
     ``table`` has one row per day, recorded at the start of the day, so
     row 0 is the untouched initial state.  Its columns are those of
     ``timeseries_<policy>.csv``: liquidity, premium reserve, volume and
-    cumulative withdrawn, each also readable by name.
+    cumulative withdrawn, each also readable by name.  A batch's mean
+    series from ``run_batches`` may be a strided view of its pass's series
+    sums, divided in place.
     """
 
     table: np.ndarray
@@ -294,7 +296,11 @@ def run_batches(configs: Sequence[ScenarioConfig]) -> list[BatchResult]:
     passes of ``_plan_passes``: one range of simulations each, at most
     ``_LANE_BUDGET`` lanes, mixing streams and horizons.  A batch of one
     simulation that has a pass to itself runs ``run_simulation``.  Each
-    ``BatchResult`` keeps its own config.
+    ``BatchResult`` keeps its own config; the configs of one group share
+    its ``metrics``, ``mean_series`` and ``per_run`` objects.  A group's
+    mean series is its last pass's series sums divided by the run count
+    in place (the same IEEE division as a fresh quotient), so its table
+    is a view that keeps that pass's sums of every group alive.
     """
     requests: dict[tuple, list[int]] = {}
     for index, config in enumerate(configs):
@@ -318,7 +324,7 @@ def run_batches(configs: Sequence[ScenarioConfig]) -> list[BatchResult]:
     for key, indices in requests.items():
         runs = tuple(per_run[key])
         metrics = _mean_metrics(runs)
-        mean_series = DailySeries(sums[key] / len(runs))
+        mean_series = DailySeries(np.divide(sums[key], len(runs), out=sums[key]))
         for index in indices:
             results[index] = BatchResult(configs[index], metrics, mean_series, runs)
     return results

@@ -2,10 +2,12 @@
 
 import json
 import shutil
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from kellypool import reports
+from kellypool import SWEEP_IDS, WITHDRAWAL_PERIODS, cli, reports
 from kellypool.cli import main
 
 # JSON text nested too deeply for the parser: json.loads raises RecursionError.
@@ -354,6 +356,76 @@ def sweep_seed4_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("sweep_seed4")
     assert main(["sweep", "--sims", "2", "--out", str(out), "--seed", "4"]) == 0
     return out
+
+
+def counting(calls: Counter, module, name: str):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    return counted
+
+
+@pytest.fixture(scope="module")
+def spied_sweep(tmp_path_factory):
+    """A ``sweep --sims 2`` that counts the report encoders' calls and keeps
+    each cell's result and the record the diff report got, by cell name."""
+    out = tmp_path_factory.mktemp("spied_sweep")
+    calls, cells, diffed = Counter(), {}, {}
+    export_bundle, diff_row = cli.export_bundle, cli.diff_row_from_metrics_record
+
+    def exporting(cell, directory, *rest):
+        cells[Path(directory).name] = cell
+        return export_bundle(cell, directory, *rest)
+
+    def diffing(record):
+        diffed[f"{record['scenario_id']}_p{record['config']['withdrawal_period_days']}"] = record
+        return diff_row(record)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("metrics_record", "_timeseries_text", "_rounded_metric_rows"):
+            patch.setattr(reports, name, counting(calls, reports, name))
+        patch.setattr(cli, "metrics_record", counting(calls, cli, "metrics_record"))
+        patch.setattr(cli, "export_bundle", exporting)
+        patch.setattr(cli, "diff_row_from_metrics_record", diffing)
+        assert main(["sweep", "--sims", "2", "--out", str(out), "--seed", "6"]) == 0
+    return out, calls, cells, diffed
+
+
+class TestSweepBuildsEachResultOnce:
+    def test_each_record_and_batch_text_is_built_once(self, spied_sweep):
+        # 75 cells of 100 distinct batches: a preset's three period cells
+        # share their no-withdrawal batch, and each record feeds both the
+        # cell's files and the diff report
+        _, calls, _, _ = spied_sweep
+        assert calls == {"metrics_record": 75, "_timeseries_text": 100,
+                         "_rounded_metric_rows": 75 + 100}
+
+    def test_diff_report_gets_the_written_record(self, spied_sweep):
+        out, _, cells, diffed = spied_sweep
+        assert len(cells) == 75 and diffed.keys() == cells.keys()
+        for name, cell in cells.items():
+            assert diffed[name] == reports.metrics_record(cell)
+            assert diffed[name] == json.loads((out / name / "metrics.json").read_text(encoding="utf-8"))
+
+    def test_period_cells_hold_the_same_no_withdrawal_bytes(self, spied_sweep):
+        out = spied_sweep[0]
+        for scenario_id in SWEEP_IDS:
+            for kind in ("timeseries", "runs"):
+                texts = {(out / f"{scenario_id}_p{period}" / f"{kind}_no_withdrawal.csv").read_bytes()
+                         for period in WITHDRAWAL_PERIODS}
+                assert len(texts) == 1, (scenario_id, kind)
+
+    def test_simulate_builds_its_record_once(self, capsys, tmp_path, monkeypatch):
+        calls = Counter()
+        monkeypatch.setattr(reports, "metrics_record", counting(calls, reports, "metrics_record"))
+        monkeypatch.setattr(cli, "metrics_record", counting(calls, cli, "metrics_record"))
+        code, out, _ = run_cli(capsys, "simulate", "--scenario", "5.3", "--sims", "2",
+                               "--out", str(tmp_path))
+        assert code == 0 and "amm_profit_pct" in out
+        assert calls == {"metrics_record": 1}
 
 
 class TestSweep:

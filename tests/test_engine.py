@@ -334,6 +334,47 @@ def test_lanes_equal_scalar_loop(scenario_id):
             assert_same_batch(result, scalar_batch(config))
 
 
+def test_mean_series_are_views_of_their_pass_sums():
+    # each group's series sums become its mean in place: the configs of one
+    # group share one mean series, and two groups of one pass hold views of
+    # one array (interleaved columns, so np.shares_memory finds no common element)
+    base = scenario_preset("2.3", n_simulations=3, seed=2)
+    configs = [base, base.replace(withdrawal_period_days=90), base.replace(withdrawal_enabled=True)]
+    without, without_p90, with_ = results = run_batches(configs)
+    assert without.mean_series is without_p90.mean_series
+    assert without.per_run is without_p90.per_run
+    tables = without.mean_series.table, with_.mean_series.table
+    assert tables[0].base is not None and tables[0].base is tables[1].base
+    assert np.may_share_memory(*tables)
+    for config, result in zip(configs, results):
+        assert_same_batch(result, scalar_batch(config))
+
+
+def test_arrival_window_without_deposits_is_all_that_is_decoded():
+    # nothing past the window is read, so 5,000 invoices in a 500-day window
+    # decode the words and build the tables of a 500-invoice stream
+    windowed = scenario_preset("2.3", n_invoices=5000, max_entry_days=500)
+    short = scenario_preset("2.3", n_invoices=500)
+    assert windowed.horizon_days == short.horizon_days
+    assert stream_words(windowed) == stream_words(short)
+    *tables, depth = engine._invoice_tables([windowed], range(100), windowed.horizon_days)
+    *reference, reference_depth = engine._invoice_tables([short], range(100), short.horizon_days)
+    assert depth == reference_depth
+    for table, expected in zip(tables, reference):
+        assert (table is None) == (expected is None)
+        if table is not None:
+            assert table.dtype == expected.dtype
+            assert table.tobytes() == expected.tobytes()
+
+
+def test_windowed_stream_with_deposits_equals_scalar_loop():
+    # LP deposits draw after the whole stream, so it is decoded past the window
+    config = scenario_preset("1.1", n_simulations=3, seed=5, max_entry_days=300)
+    assert config.n_arrivals < config.n_invoices
+    for policy in (config, config.replace(withdrawal_enabled=True, withdrawal_period_days=1)):
+        assert_same_batch(run_batch(policy), scalar_batch(policy))
+
+
 def sweep_batch_configs(n_simulations):
     """The batch configs of the 75-cell sweep, both policies, in the CLI's order."""
     return [
