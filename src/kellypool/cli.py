@@ -21,7 +21,6 @@ from typing import Iterator
 from .engine import POLICIES, CellResult, run_batches
 from .pool import NonPositiveDenominatorError, PoolState, ZeroVolumeError, quote_premium
 from .reports import (
-    SharedTexts,
     complete_cell_record,
     diff_row_from_metrics_record,
     export_bundle,
@@ -167,29 +166,22 @@ def _cells(
 def _export_cells(
     cells: dict[Path, dict[str, ScenarioConfig]]
 ) -> Iterator[tuple[Path, CellResult, dict]]:
-    """Run all cells in one ``run_batches``; write each cell and yield its
-    directory, result and metrics record.
-
-    The record is built once, for ``metrics.json`` and for the caller.  A
-    batch that several cells hold (a preset's period cells share their
-    no-withdrawal batch) has its time-series and per-run texts encoded once.
-    """
+    """Run all cells in one ``run_batches``; yield each written cell's directory,
+    result and metrics record.  A preset's period cells come in a row and share
+    their no-withdrawal batch, whose texts one ``encoded`` dict keeps for them."""
     batches = iter(run_batches([batch for cell in cells.values() for batch in cell.values()]))
-    results = {
-        cell_dir: CellResult(**{name: next(batches) for name in batch_configs})
-        for cell_dir, batch_configs in cells.items()
-    }
-    shared = SharedTexts(results.values())
-    for cell_dir, cell in results.items():
+    encoded: dict = {}
+    for cell_dir, batch_configs in cells.items():
+        cell = CellResult(**{name: next(batches) for name in batch_configs})
         record = metrics_record(cell)
-        export_bundle(cell, cell_dir, record, shared)
+        export_bundle(cell, cell_dir, record, encoded)
         yield cell_dir, cell, record
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cells = _cells(Path(args.out), [_resolve_config(args)], args.policy)
-    for cell_dir, cell, record in _export_cells(cells):
-        print(format_summary(cell, record))
+    for cell_dir, cell, _ in _export_cells(cells):
+        print(format_summary(cell))
         print(f"\nreport bundle written to {cell_dir}")
     return 0
 

@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import json
 import os
-from collections import Counter
 from dataclasses import fields
 from decimal import ROUND_HALF_UP, Decimal
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -229,41 +228,6 @@ def _timeseries_text(batch: BatchResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _policy_texts(batch: BatchResult) -> tuple[str, str]:
-    """A batch's ``timeseries_<policy>.csv`` and ``runs_<policy>.csv`` texts."""
-    rows = _rounded_metric_rows(batch.per_run)
-    return _timeseries_text(batch), _csv_text(["sim_index," + ",".join(METRIC_FIELDS)],
-                                              ([i, *row] for i, row in enumerate(rows)))
-
-
-class SharedTexts:
-    """``_policy_texts`` of the batches the given cells hold, each encoded once.
-
-    ``run_batches`` hands one ``mean_series`` and ``per_run`` object to
-    every config of a lane key (a preset's period cells share their
-    no-withdrawal batch), so those objects' identity tells a shared batch,
-    and the caller holds the cells while they are written.  A batch's
-    texts are dropped after the last cell that takes them.
-    """
-
-    def __init__(self, cells: Iterable[CellResult]):
-        batches = (getattr(cell, name) for cell in cells for name in cell.policies)
-        self._uses = Counter(map(_identity, batches))
-        self._texts: dict[tuple[int, int], tuple[str, str]] = {}
-
-    def take(self, batch: BatchResult) -> tuple[str, str]:
-        key = _identity(batch)
-        self._uses[key] -= 1
-        texts = self._texts.pop(key, None) or _policy_texts(batch)
-        if self._uses[key] > 0:
-            self._texts[key] = texts
-        return texts
-
-
-def _identity(batch: BatchResult) -> tuple[int, int]:
-    return id(batch.mean_series), id(batch.per_run)
-
-
 def config_record(policies: tuple[str, ...], config: ScenarioConfig) -> dict:
     """Contents of ``config.json``; a cell is complete only on an equal record."""
     return {
@@ -272,14 +236,14 @@ def config_record(policies: tuple[str, ...], config: ScenarioConfig) -> dict:
 
 
 def _cell_texts(
-    cell: CellResult, record: dict | None = None, shared: SharedTexts | None = None
+    cell: CellResult, record: dict | None = None, encoded: dict | None = None
 ) -> dict[str, str]:
     """A cell's files by name, in write order, each with its text; ``config.json`` last.
 
-    ``record`` is the cell's ``metrics_record`` if the caller built it.
+    ``encoded`` holds each policy's last batch, by its mean series, and texts.
     """
-    if record is None:
-        record = metrics_record(cell)
+    record = metrics_record(cell) if record is None else record
+    encoded = {} if encoded is None else encoded
     grid = ([name, *values] for name, values in _metric_rows(record))
     texts = {
         "metrics.json": json.dumps(record, indent=2) + "\n",
@@ -290,9 +254,14 @@ def _cell_texts(
     }
     for name in cell.policies:
         batch: BatchResult = getattr(cell, name)
-        texts[f"timeseries_{name}.csv"], texts[f"runs_{name}.csv"] = (
-            _policy_texts(batch) if shared is None else shared.take(batch)
-        )
+        if encoded.get(name, (None,))[0] is not batch.mean_series:
+            rows = _rounded_metric_rows(batch.per_run)
+            encoded[name] = batch.mean_series, (
+                _timeseries_text(batch),
+                _csv_text(["sim_index," + ",".join(METRIC_FIELDS)],
+                          ([i, *row] for i, row in enumerate(rows))),
+            )
+        texts[f"timeseries_{name}.csv"], texts[f"runs_{name}.csv"] = encoded[name][1]
     texts["config.json"] = json.dumps(config_record(cell.policies, cell.config), indent=2) + "\n"
     return texts
 
@@ -304,8 +273,7 @@ def _cell_files(policies: tuple[str, ...]) -> set[str]:
 
 
 def export_bundle(
-    cell: CellResult, directory: str | Path,
-    record: dict | None = None, shared: SharedTexts | None = None,
+    cell: CellResult, directory: str | Path, record: dict | None = None, encoded: dict | None = None
 ) -> list[Path]:
     """Write the file set of one scenario cell into ``directory``; return the paths in write order.
 
@@ -316,14 +284,16 @@ def export_bundle(
     cell bit-identically) commits the set: removed first and written
     last, it only stands beside a complete file set of the run it records.
     A caller that needs the cell's ``metrics_record`` too passes it as
-    ``record``, and one writing several cells passes their ``SharedTexts``.
+    ``record``.  One that writes several cells passes one ``encoded`` dict
+    to each, so cells in a row that hold one batch (a preset's period
+    cells share their no-withdrawal batch) encode its texts once.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / "config.json").unlink(missing_ok=True)
     for stale in _cell_files(POLICIES) - _cell_files(cell.policies):
         (directory / stale).unlink(missing_ok=True)
-    texts = _cell_texts(cell, record, shared)
+    texts = _cell_texts(cell, record, encoded)
     return [_atomic_write(directory / name, text) for name, text in texts.items()]
 
 
@@ -416,10 +386,9 @@ def write_diff_rows(rows: list[dict], path: str | Path) -> Path:
     return _atomic_write(Path(path), _csv_text(header, ([row[c] for c in columns] for row in rows)))
 
 
-def format_summary(cell: CellResult, record: dict | None = None) -> str:
-    """Fixed-width metric table for terminal output, of ``record`` when the caller built it."""
-    if record is None:
-        record = metrics_record(cell)
+def format_summary(cell: CellResult) -> str:
+    """Fixed-width metric table for terminal output."""
+    record = metrics_record(cell)
     columns = list(record["metrics"])
     header = ["metric".ljust(28)] + [c.rjust(16) for c in columns]
     lines = [" ".join(header), "-" * (28 + 17 * len(columns))]

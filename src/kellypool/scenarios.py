@@ -387,8 +387,7 @@ class StreamArrays:
     """Invoice streams and LP deposit schedules of several simulations.
 
     Row ``r`` belongs to the r-th requested simulation index.  Invoice
-    fields have one column per decoded invoice, from the first (see
-    ``decode_streams``); ``deposits`` has one column per
+    fields have one column per invoice; ``deposits`` has one column per
     day of the horizon and is None when the config has no LP deposits.
     """
 
@@ -418,18 +417,12 @@ def _words_before(index, per_invoice: int, draws_delay: bool):
     return index * per_invoice + draws_delay * ((index + 1) // 2)
 
 
-def _decoded_invoices(config: ScenarioConfig, cap: float) -> int:
-    """Invoices ``decode_streams`` decodes per simulation: the arrival window,
-    or the whole stream when LP deposits draw after it."""
-    return config.n_invoices if cap else config.n_arrivals
-
-
 def stream_words(config: ScenarioConfig) -> int:
     """Raw PCG64 words ``decode_streams`` reads per simulation of ``config``."""
     lead, draws_delay, cap = _draw_layout(config)
     lp_words = 1 if config.lp_contribution_mode == "fixed" else 2
     return (
-        _words_before(_decoded_invoices(config, cap), lead + 2, draws_delay)
+        _words_before(config.n_invoices, lead + 2, draws_delay)
         + (config.horizon_days * lp_words if cap else 0)
         + 1  # a non-payment flag index past a trailing bogus invoice stays in bounds
     )
@@ -451,19 +444,13 @@ def decode_streams(config: ScenarioConfig, sim_indices) -> StreamArrays:
     the stream.  A stream in which Lemire's method would reject a draw
     (and draw again) is generated by ``generate_stream`` instead.  The
     config envelope keeps the delay span far below 32 bits.
-
-    Without LP deposits nothing after the arrival window is drawn from,
-    so only the window's ``n_arrivals`` invoices are decoded: the stream's
-    first words do not depend on the ones after them.  With deposits every
-    invoice is decoded, since a Lemire rejection past the window shifts
-    where the schedule starts.
     """
     sims = list(sim_indices)
+    n_sims, n, horizon = len(sims), config.n_invoices, config.horizon_days
     d_lo, d_hi = config.delay_range_days
     span = d_hi - d_lo
     draws_q = config.hack_q is None
     lead, draws_delay, cap = _draw_layout(config)
-    n_sims, n, horizon = len(sims), _decoded_invoices(config, cap), config.horizon_days
     p_hack = config.hack_probability
 
     n_words = stream_words(config)
@@ -535,9 +522,9 @@ def decode_streams(config: ScenarioConfig, sim_indices) -> StreamArrays:
 def _fill_from_generator(
     streams: StreamArrays, row: int, config: ScenarioConfig, sim_index: int
 ) -> None:
-    """Overwrite one row with the reference generator's draws, cut to the row's invoices."""
+    """Overwrite one row with the reference generator's draws."""
     rng = simulation_rng(config.seed, sim_index)
-    invoices = generate_stream(config, rng)[: streams.q.shape[1]]
+    invoices = generate_stream(config, rng)
     streams.q[row] = [inv.q for inv in invoices]
     streams.amount[row] = [inv.demanded_collateral for inv in invoices]
     streams.defaults[row] = [inv.defaults for inv in invoices]

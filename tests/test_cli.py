@@ -418,15 +418,6 @@ class TestSweepBuildsEachResultOnce:
                          for period in WITHDRAWAL_PERIODS}
                 assert len(texts) == 1, (scenario_id, kind)
 
-    def test_simulate_builds_its_record_once(self, capsys, tmp_path, monkeypatch):
-        calls = Counter()
-        monkeypatch.setattr(reports, "metrics_record", counting(calls, reports, "metrics_record"))
-        monkeypatch.setattr(cli, "metrics_record", counting(calls, cli, "metrics_record"))
-        code, out, _ = run_cli(capsys, "simulate", "--scenario", "5.3", "--sims", "2",
-                               "--out", str(tmp_path))
-        assert code == 0 and "amm_profit_pct" in out
-        assert calls == {"metrics_record": 1}
-
 
 class TestSweep:
     def test_covers_grid(self, sweep_dir, capsys):

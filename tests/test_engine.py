@@ -350,31 +350,6 @@ def test_mean_series_are_views_of_their_pass_sums():
         assert_same_batch(result, scalar_batch(config))
 
 
-def test_arrival_window_without_deposits_is_all_that_is_decoded():
-    # nothing past the window is read, so 5,000 invoices in a 500-day window
-    # decode the words and build the tables of a 500-invoice stream
-    windowed = scenario_preset("2.3", n_invoices=5000, max_entry_days=500)
-    short = scenario_preset("2.3", n_invoices=500)
-    assert windowed.horizon_days == short.horizon_days
-    assert stream_words(windowed) == stream_words(short)
-    *tables, depth = engine._invoice_tables([windowed], range(100), windowed.horizon_days)
-    *reference, reference_depth = engine._invoice_tables([short], range(100), short.horizon_days)
-    assert depth == reference_depth
-    for table, expected in zip(tables, reference):
-        assert (table is None) == (expected is None)
-        if table is not None:
-            assert table.dtype == expected.dtype
-            assert table.tobytes() == expected.tobytes()
-
-
-def test_windowed_stream_with_deposits_equals_scalar_loop():
-    # LP deposits draw after the whole stream, so it is decoded past the window
-    config = scenario_preset("1.1", n_simulations=3, seed=5, max_entry_days=300)
-    assert config.n_arrivals < config.n_invoices
-    for policy in (config, config.replace(withdrawal_enabled=True, withdrawal_period_days=1)):
-        assert_same_batch(run_batch(policy), scalar_batch(policy))
-
-
 def sweep_batch_configs(n_simulations):
     """The batch configs of the 75-cell sweep, both policies, in the CLI's order."""
     return [

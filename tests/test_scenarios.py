@@ -384,37 +384,6 @@ class TestDecodeStreams:
         reference = reference_streams(config, sims, with_deposits=config.horizon_days < 10_000)
         assert_decoded_equal(decode_streams(config, sims), reference)
 
-    @pytest.mark.parametrize(
-        "config, fallbacks",
-        [
-            (scenario_preset("2.3", max_entry_days=300), 0),
-            # the partial hack's flag walk stops at the window too
-            (scenario_preset("hack-q49-h50", max_entry_days=150), 0),
-            # Lemire rejects a delay of simulation 18 inside the window and
-            # one of simulation 4 past it (see the test below)
-            (ScenarioConfig(n_invoices=400, max_entry_days=200, delay_range_days=(1, 98_719),
-                            seed=69), 1),
-            # LP deposits draw after the whole stream, so all of it is decoded
-            (scenario_preset("1.1", max_entry_days=300), 0),
-        ],
-    )
-    def test_decodes_the_arrival_window_unless_deposits_follow(self, monkeypatch, config, fallbacks):
-        assert config.n_arrivals < config.n_invoices
-        calls = []
-        original = scenarios.generate_stream
-        monkeypatch.setattr(
-            scenarios, "generate_stream",
-            lambda cfg, rng: calls.append(1) or original(cfg, rng),
-        )
-        sims = list(range(20))
-        decoded = decode_streams(config, sims)
-        monkeypatch.undo()
-        assert len(calls) == fallbacks
-        n = config.n_invoices if config.lp_contribution_probability else config.n_arrivals
-        assert decoded.q.shape == (len(sims), n)
-        reference = reference_streams(config, sims, with_deposits=config.horizon_days < 10_000)
-        assert_decoded_equal(decoded, [(invoices[:n], deposits) for invoices, deposits in reference])
-
     def test_wide_delay_range_falls_back_to_the_generator(self, monkeypatch):
         # Lemire's method rejects 98,482 of every 2**32 draws for this span,
         # which at seed 69 hits simulations 4 and 18
