@@ -104,7 +104,7 @@ class DailySeries:
 
 @dataclass(frozen=True)
 class SimulationMetrics:
-    """End-of-run summary; for a batch, the arithmetic mean over runs.
+    """A batch's mean metrics: the arithmetic mean over its runs.
 
     ``x_ic`` fields express the amount as a multiple of the initial
     collateral.  Profit counts everything the pool ends with or paid
@@ -133,19 +133,36 @@ class SimulationMetrics:
     amm_profit_pct: float
 
 
+METRIC_FIELDS = tuple(f.name for f in fields(SimulationMetrics))
+COUNT_FIELDS = METRIC_FIELDS[:3]  # whole numbers: a run count, a day count, an invoice count
+# A table of runs: one float64 column per metric field, in field order.
+_RUN_DTYPE = np.dtype([(name, np.float64) for name in METRIC_FIELDS])
+
+
 @dataclass(frozen=True)
 class SimulationResult:
-    metrics: SimulationMetrics
+    """One run: its metrics as a record of ``BatchResult.per_run``'s columns."""
+
+    metrics: np.record
     series: DailySeries
     invoices: list[Invoice]
 
 
 @dataclass(frozen=True)
 class BatchResult:
+    """A batch's mean metrics and mean daily series, and the metrics of its runs.
+
+    ``per_run`` is a read-only record table with one row per simulation,
+    in simulation order, and one float64 column per ``SimulationMetrics``
+    field: ``per_run.avg_loss`` is a column, ``per_run[k].amm_profit`` one
+    run's value and ``per_run.view(np.float64).reshape(len(per_run), -1)``
+    the 2-D table.
+    """
+
     config: ScenarioConfig
     metrics: SimulationMetrics
     mean_series: DailySeries
-    per_run: tuple[SimulationMetrics, ...]
+    per_run: np.recarray
 
 
 def run_day(
@@ -208,17 +225,16 @@ def run_simulation(config: ScenarioConfig, sim_index: int = 0) -> SimulationResu
             raise LedgerError(f"conservation violated on day {day}: residual {residual}")
 
     finalize_losses(pool, invoices)
-    metrics = _run_metrics(pool, invoices, config)
+    metrics = _run_metrics(pool, invoices, config)[0]
     return SimulationResult(metrics=metrics, series=DailySeries(series), invoices=invoices)
 
 
 def _run_metrics(
     pool: PoolState, invoices: Sequence[Invoice], config: ScenarioConfig
-) -> SimulationMetrics:
-    n_accepted = sum(1 for inv in invoices if inv.accepted)
+) -> np.recarray:
     return _summary(
-        config,
-        n_accepted=n_accepted,
+        config.initial_collateral, config.horizon_days, config.n_arrivals,
+        n_accepted=sum(1 for inv in invoices if inv.accepted),
         n_paid=sum(1 for inv in invoices if inv.repaid),
         covered=sum_in_order(inv.demanded_collateral for inv in invoices if inv.accepted),
         loss=pool.loss_total,
@@ -229,57 +245,45 @@ def _run_metrics(
 
 
 def _summary(
-    config: ScenarioConfig,
-    n_accepted: int,
-    n_paid: int,
-    covered: float,
-    loss: float,
-    volume: float,
-    withdrawn: float,
-    premium: float,
-) -> SimulationMetrics:
-    initial = config.initial_collateral
-    n_unpaid = n_accepted - n_paid
+    initial, horizon, n_arrivals, n_accepted, n_paid, covered, loss, volume, withdrawn, premium
+) -> np.recarray:
+    """The metrics of runs from their end states, as a table with one row per run.
+
+    Each argument holds one value per run, or is a scalar for a single
+    run, which gives a one-row table.  The float operations are those
+    of Python floats, in the same order, so the lanes and the scalar loop
+    give the same rows bit for bit.
+    """
+    accepted = np.asarray(n_accepted, dtype=np.float64)
+    paid = np.asarray(n_paid, dtype=np.float64)
+    unpaid = accepted - paid
     profit = volume + withdrawn - initial
-    return SimulationMetrics(
-        n_simulations=1,
-        horizon_days=config.horizon_days,
-        total_invoices=config.n_arrivals,
-        avg_accepted=float(n_accepted),
-        pct_accepted=100.0 * n_accepted / config.n_arrivals if config.n_arrivals else 0.0,
-        avg_paid=float(n_paid),
-        pct_paid_of_accepted=100.0 * n_paid / n_accepted if n_accepted else 0.0,
-        avg_unpaid=float(n_unpaid),
-        pct_unpaid_of_accepted=100.0 * n_unpaid / n_accepted if n_accepted else 0.0,
-        avg_loss=loss,
-        total_collateral_covered=covered,
-        collateral_covered_x_ic=covered / initial,
-        total_premium_withdrawn=withdrawn,
-        premium_withdrawn_x_ic=withdrawn / initial,
-        remaining_premium=premium,
-        remaining_premium_x_ic=premium / initial,
-        final_volume=volume,
-        amm_profit=profit,
-        amm_profit_pct=100.0 * profit / initial,
+    columns = (
+        1, horizon, n_arrivals, accepted, _percent(accepted, n_arrivals),
+        paid, _percent(paid, accepted), unpaid, _percent(unpaid, accepted),
+        loss, covered, covered / initial, withdrawn, withdrawn / initial,
+        premium, premium / initial, volume, profit, 100.0 * profit / initial,
     )
+    runs = np.empty(accepted.size, _RUN_DTYPE).view(np.recarray)
+    for name, column in zip(METRIC_FIELDS, columns):
+        runs[name] = column
+    return runs
 
 
-# constant across the runs of one batch, not averaged
-_BATCH_CONSTANT_FIELDS = ("horizon_days", "total_invoices")
+def _percent(part: np.ndarray, whole) -> np.ndarray:
+    """``100 * part / whole``, and 0.0 where ``whole`` is 0."""
+    return np.divide(100.0 * part, whole, out=np.zeros(part.shape), where=np.not_equal(whole, 0))
 
 
-def _mean_metrics(per_run: Sequence[SimulationMetrics]) -> SimulationMetrics:
-    """Field-wise arithmetic mean; exact summation keeps it order-free."""
-    values = {}
-    for f in fields(SimulationMetrics):
-        column = [getattr(m, f.name) for m in per_run]
-        if f.name == "n_simulations":
-            values[f.name] = len(per_run)
-        elif f.name in _BATCH_CONSTANT_FIELDS:
-            values[f.name] = column[0]
-        else:
-            values[f.name] = math.fsum(column) / len(column)
-    return SimulationMetrics(**values)
+def _mean_metrics(per_run: np.recarray) -> SimulationMetrics:
+    """Column-wise arithmetic mean of a table of runs, the counts as ints.
+
+    ``math.fsum`` sums each column exactly, so the mean does not depend on
+    the order of the runs; the constant counts come back exact.
+    """
+    n = len(per_run)
+    _, horizon, n_arrivals, *means = (math.fsum(column) / n for column in zip(*per_run.tolist()))
+    return SimulationMetrics(n, int(horizon), int(n_arrivals), *means)
 
 
 def run_batch(config: ScenarioConfig) -> BatchResult:
@@ -298,31 +302,33 @@ def run_batches(configs: Sequence[ScenarioConfig]) -> list[BatchResult]:
     simulation that has a pass to itself runs ``run_simulation``.  Each
     ``BatchResult`` keeps its own config; the configs of one group share
     its ``metrics``, ``mean_series`` and ``per_run`` objects.  A group's
-    mean series is its last pass's series sums divided by the run count
-    in place (the same IEEE division as a fresh quotient), so its table
-    is a view that keeps that pass's sums of every group alive.
+    per-run table joins its passes' tables in simulation order.  Its mean
+    series is its last pass's series sums divided by the run count in
+    place (the same IEEE division as a fresh quotient), so its table is a
+    view that keeps that pass's sums of every group alive.
     """
     requests: dict[tuple, list[int]] = {}
     for index, config in enumerate(configs):
         requests.setdefault(_lane_key(config), []).append(index)
     # the first config requested under a key stands for its group
     groups = {key: configs[indices[0]] for key, indices in requests.items()}
-    per_run: dict[tuple, list[SimulationMetrics]] = {key: [] for key in groups}
+    per_run: dict[tuple, list[np.recarray]] = {key: [] for key in groups}
     sums: dict[tuple, np.ndarray] = {}
     for streams, sims in _plan_passes(groups):
         keys = [key for stream in streams for key in stream]
         if len(keys) == 1 and groups[keys[0]].n_simulations == 1:
             result = run_simulation(groups[keys[0]], 0)
-            outputs = [((result.metrics,), result.series.table)]
+            outputs = [(np.asarray(result.metrics).reshape(1), result.series.table)]
         else:
             carried = [sums[key] for key in keys] if sims.start else None
             outputs = _run_lanes([[groups[k] for k in stream] for stream in streams], sims, carried)
         for key, (runs, series_sums) in zip(keys, outputs):
-            per_run[key].extend(runs)
+            per_run[key].append(runs)
             sums[key] = series_sums
     results: list[BatchResult | None] = [None] * len(configs)
     for key, indices in requests.items():
-        runs = tuple(per_run[key])
+        runs = np.concatenate(per_run[key]).view(np.recarray)
+        runs.flags.writeable = False  # every config of the group shares it
         metrics = _mean_metrics(runs)
         mean_series = DailySeries(np.divide(sums[key], len(runs), out=sums[key]))
         for index in indices:
@@ -403,7 +409,7 @@ def _two_sum(value: np.ndarray, carry: np.ndarray, delta: np.ndarray) -> None:
 
 def _run_lanes(
     units: list[list[ScenarioConfig]], sims: range, carried: list[np.ndarray] | None
-) -> list[tuple[tuple[SimulationMetrics, ...], np.ndarray]]:
+) -> list[tuple[np.recarray, np.ndarray]]:
     """Step the given simulations of the given batch groups through the days at once.
 
     Each unit holds the groups of one stream, decoded once from its first
@@ -415,7 +421,8 @@ def _run_lanes(
     longest horizon; a lane whose horizon comes earlier gets no events
     from that day on, so its state stays as it ended.  ``carried`` holds
     each group's series sums over the simulations before ``sims`` (zero
-    past its horizon), as this function returns them.
+    past its horizon), as this function returns them with each group's
+    per-run table, both cut at the group's horizon.
     """
     stream_configs = [unit[0] for unit in units]
     group_configs = [config for unit in units for config in unit]
@@ -553,11 +560,14 @@ def _run_lanes(
 
             _check_conservation(ledger, carry, initial_funds, entered_initially, lane_name)
 
-    return _reduce_lanes(
-        group_configs, series_sums,
-        n_accepted, n_paid, covered, loss,
-        liquidity + premium, ledger[_WITHDRAWN], premium,
+    runs = _summary(
+        initial_funds[0], lane_horizon, per_lane([c.n_arrivals for c in group_configs]),
+        n_accepted, n_paid, covered, loss, liquidity + premium, ledger[_WITHDRAWN], premium,
     )
+    return [
+        (runs[group::n_groups], series_sums[: config.horizon_days, :, group])
+        for group, config in enumerate(group_configs)
+    ]
 
 
 # The float residual below adds 14 terms in 12 float additions; each
@@ -649,37 +659,6 @@ def _invoice_tables(stream_configs: list[ScenarioConfig], sims: range, horizon: 
                     deposits = np.zeros((horizon, n_columns))
                 deposits[: config.horizon_days, columns] = stream.deposits.T
     return q, amount, due, deposits, depth
-
-
-def _reduce_lanes(
-    group_configs, series_sums,
-    n_accepted, n_paid, covered, loss, volume, withdrawn, premium,
-) -> list[tuple[tuple[SimulationMetrics, ...], np.ndarray]]:
-    """Per-run metrics and series sums of every group, each cut at its own horizon."""
-    n_groups = len(group_configs)
-    columns = zip(
-        n_accepted.tolist(), n_paid.tolist(), covered.tolist(),
-        loss.tolist(), volume.tolist(), withdrawn.tolist(), premium.tolist(),
-    )
-    per_lane = [
-        _summary(
-            group_configs[lane % n_groups],
-            n_accepted=accepted,
-            n_paid=paid,
-            # an empty sum is the integer 0, as in the scalar loop
-            covered=covered_sum if accepted else 0,
-            loss=loss_sum if accepted > paid else 0,
-            volume=final_volume,
-            withdrawn=final_withdrawn,
-            premium=final_premium,
-        )
-        for lane, (accepted, paid, covered_sum, loss_sum,
-                   final_volume, final_withdrawn, final_premium) in enumerate(columns)
-    ]
-    return [
-        (tuple(per_lane[group::n_groups]), series_sums[: config.horizon_days, :, group])
-        for group, config in enumerate(group_configs)
-    ]
 
 
 POLICIES = ("no_withdrawal", "withdrawal")  # a cell's premium policies, in column order

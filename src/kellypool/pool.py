@@ -267,12 +267,12 @@ def withdraw_premium(pool: PoolState, fraction: float) -> float:
 
 
 def sum_in_order(values: Iterable[float]) -> float:
-    """Plain left-to-right sum, starting from the integer 0 like ``sum()``.
+    """Plain left-to-right float sum, from 0.0.
 
     ``sum()`` compensates float rounding from Python 3.12 on, which would
     make report bytes depend on the interpreter.
     """
-    total = 0
+    total = 0.0
     for value in values:
         total += value
     return total

@@ -7,9 +7,9 @@ other numeric field to 4 decimals, always UTF-8 and newline-terminated.
 Rounding is half-up on the decimal ``repr`` of a value: ``round_money``
 and ``round_fraction`` do it one value at a time through ``Decimal`` and
 are the reference.  The exporters round whole arrays at once to the
-same floats (``_rounded``); the metrics record and the per-run rows take
-their values from ``_rounded_metric_rows``, and the money time series
-builds its text from integers (``_money_texts``).
+same floats (``_rounded``).  ``_rounded_metric_rows`` rounds the mean
+records and each per-run table, writing the counts and a run's empty
+sums as ints; the money time series is written from ints (``_money_texts``).
 The policy-difference column is ``engine.difference_pct`` of the
 rounded columns, from no withdrawal to withdrawal, rounded at 4
 decimals; it is left empty where that is None.
@@ -24,15 +24,14 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import fields
+from dataclasses import astuple
 from decimal import ROUND_HALF_UP, Decimal
-from operator import attrgetter
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
-from .engine import POLICIES, BatchResult, CellResult, SimulationMetrics, difference_pct
+from .engine import COUNT_FIELDS, METRIC_FIELDS, POLICIES, BatchResult, CellResult, difference_pct
 from .scenarios import ScenarioConfig, _is_number
 
 # Recorded in each cell's ``config.json``, so a resumed sweep recomputes
@@ -54,7 +53,6 @@ MONEY_FIELDS = frozenset(
         "amm_profit",
     }
 )
-METRIC_FIELDS = tuple(f.name for f in fields(SimulationMetrics))
 
 
 def round_money(value: float) -> float:
@@ -130,23 +128,30 @@ def _money_texts(table) -> list[list[str]]:
     return columns
 
 
-_metric_values = attrgetter(*METRIC_FIELDS)
 _METRIC_SCALES = np.array(
     [_MONEY_SCALE if name in MONEY_FIELDS else _FRACTION_SCALE for name in METRIC_FIELDS]
 )
+_ACCEPTED, _PAID, _LOSS, _COVERED = map(
+    METRIC_FIELDS.index, ("avg_accepted", "avg_paid", "avg_loss", "total_collateral_covered")
+)
 
 
-def _rounded_metric_rows(metrics: Sequence[SimulationMetrics]) -> list[list]:
-    """Each run's metric values in field order, rounded for reporting.
+def _rounded_metric_rows(table: np.ndarray, per_run: bool = False) -> list[list]:
+    """The rows of a ``(rows, metric fields)`` float table, rounded for reporting.
 
-    A value that is an int stays that int (``0``, never ``0.0``); a float
-    is rounded at 2 decimals for money fields and 4 for the others.
+    The counts are ints; other values round at 2 decimals for money, 4 else.
+    In rows of single runs (``per_run``) an empty sum is the int 0, too:
+    ``total_collateral_covered`` where nothing was accepted, and
+    ``avg_loss`` where everything accepted was paid back.
     """
-    rows = [_metric_values(m) for m in metrics]
-    return [
-        [value if isinstance(value, int) else rounded for value, rounded in zip(row, rounded_row)]
-        for row, rounded_row in zip(rows, _rounded(rows, _METRIC_SCALES))
-    ]
+    rows = _rounded(table, _METRIC_SCALES)
+    for row, values in zip(rows, table.tolist()):
+        row[: len(COUNT_FIELDS)] = map(int, values[: len(COUNT_FIELDS)])
+        if per_run and values[_ACCEPTED] == 0:
+            row[_COVERED] = 0
+        if per_run and values[_ACCEPTED] == values[_PAID]:
+            row[_LOSS] = 0
+    return rows
 
 
 def _difference_column(without: dict, with_: dict) -> dict:
@@ -203,7 +208,7 @@ def metrics_record(cell: CellResult) -> dict:
         "loss": {},
     }
     batch_metrics = [getattr(cell, name).metrics for name in cell.policies]
-    rows = _rounded_metric_rows(batch_metrics)
+    rows = _rounded_metric_rows(np.array([astuple(metrics) for metrics in batch_metrics]))
     for name, metrics, row in zip(cell.policies, batch_metrics, rows):
         record["metrics"][name] = dict(zip(METRIC_FIELDS, row))
         record["loss"][name] = metrics.amm_profit < 0.0
@@ -255,7 +260,8 @@ def _cell_texts(
     for name in cell.policies:
         batch: BatchResult = getattr(cell, name)
         if encoded.get(name, (None,))[0] is not batch.mean_series:
-            rows = _rounded_metric_rows(batch.per_run)
+            runs = batch.per_run.view(np.float64).reshape(len(batch.per_run), -1)
+            rows = _rounded_metric_rows(runs, per_run=True)
             encoded[name] = batch.mean_series, (
                 _timeseries_text(batch),
                 _csv_text(["sim_index," + ",".join(METRIC_FIELDS)],

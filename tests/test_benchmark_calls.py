@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from kellypool import CellResult, reports, run_batch, scenario_preset
+from kellypool import CellResult, compare_withdrawal, reports, run_batch, scenario_preset
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -52,3 +52,17 @@ def test_tracer_finds_every_symbol_it_reads(run):
 
     with tracing.Tracer() as tracer:
         assert tracer.absent == {"cli._run_cell"}
+
+
+def test_batch_fingerprint_reads_every_result(run, tmp_path):
+    """Each timed ``batch`` op is checked by ``outputs.result_digest``, which
+    reads a batch's mean record, each run of ``per_run`` and the mean series."""
+    import workloads
+
+    fingerprint = workloads.WORKLOADS["batch"].fingerprint
+    config = scenario_preset("5.3", n_simulations=3, withdrawal_period_days=30)
+    first, second = compare_withdrawal(config), compare_withdrawal(config)
+    assert fingerprint(first, tmp_path) == fingerprint(second, tmp_path)
+    alone = run_batch(config.replace(withdrawal_enabled=True))
+    assert fingerprint(alone, tmp_path) == fingerprint(first.withdrawal, tmp_path)
+    assert fingerprint(alone, tmp_path) != fingerprint(first.no_withdrawal, tmp_path)

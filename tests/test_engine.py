@@ -201,7 +201,8 @@ class TestRunBatch:
         config = scenario_preset("3.1", n_simulations=1, seed=13)
         batch = run_batch(config)
         single = run_simulation(config, 0)
-        assert batch.metrics == single.metrics
+        assert batch.per_run.tobytes() == single.metrics.tobytes()
+        assert dataclasses.astuple(batch.metrics) == single.metrics.tolist()
         assert np.array_equal(batch.mean_series.volume, single.series.volume)
 
     def test_mean_is_arithmetic(self):
@@ -216,7 +217,7 @@ class TestRunBatch:
         config = scenario_preset("baseline", n_simulations=6, seed=3)
         per_run = run_batch(config).per_run
         forward = _mean_metrics(per_run)
-        backward = _mean_metrics(tuple(reversed(per_run)))
+        backward = _mean_metrics(per_run[::-1])
         assert forward == dataclasses.replace(backward, n_simulations=forward.n_simulations)
 
     def test_batch_deterministic(self):
@@ -297,15 +298,14 @@ class TestCompareWithdrawal:
 
 
 def metric_values(metrics: SimulationMetrics) -> list[str]:
-    """Field values with their types: an empty sum is the integer 0 in reports."""
+    """A mean record's field values with their types: the counts are ints."""
     return [repr(getattr(metrics, f.name)) for f in dataclasses.fields(metrics)]
 
 
 def assert_same_batch(result, reference) -> None:
     assert metric_values(result.metrics) == metric_values(reference.metrics)
-    assert [metric_values(m) for m in result.per_run] == [
-        metric_values(m) for m in reference.per_run
-    ]
+    assert result.per_run.dtype == reference.per_run.dtype
+    assert result.per_run.tobytes() == reference.per_run.tobytes()
     for f in dataclasses.fields(DailySeries):
         assert getattr(result.mean_series, f.name).tobytes() == (
             getattr(reference.mean_series, f.name).tobytes()
@@ -315,7 +315,7 @@ def assert_same_batch(result, reference) -> None:
 def scalar_batch(config):
     """The batch as the scalar loop computes it, one simulation at a time."""
     runs = [run_simulation(config, k) for k in range(config.n_simulations)]
-    per_run = tuple(run.metrics for run in runs)
+    per_run = np.array([run.metrics for run in runs]).view(np.recarray)
     return BatchResult(
         config, _mean_metrics(per_run), DailySeries.mean([run.series for run in runs]), per_run
     )
@@ -343,6 +343,7 @@ def test_mean_series_are_views_of_their_pass_sums():
     without, without_p90, with_ = results = run_batches(configs)
     assert without.mean_series is without_p90.mean_series
     assert without.per_run is without_p90.per_run
+    assert not without.per_run.flags.writeable
     tables = without.mean_series.table, with_.mean_series.table
     assert tables[0].base is not None and tables[0].base is tables[1].base
     assert np.may_share_memory(*tables)
@@ -526,7 +527,7 @@ def test_streams_of_different_arrival_windows_share_a_pass(monkeypatch):
     for config in (short, long):
         ((lane_runs, lane_sums),) = engine._run_lanes([[config]], range(1), None)
         reference = run_simulation(config, 0)
-        assert metric_values(lane_runs[0]) == metric_values(reference.metrics)
+        assert lane_runs.tobytes() == reference.metrics.tobytes()
         assert lane_sums.tobytes() == reference.series.table.tobytes()
 
 
@@ -597,7 +598,7 @@ def test_large_pool_gets_one_verdict_from_both_engines():
     for seed in range(50):
         config = ScenarioConfig(seed=seed, **LARGE_POOL)
         ((lane_runs, _),) = engine._run_lanes([[config]], range(1), None)
-        assert metric_values(lane_runs[0]) == metric_values(run_simulation(config, 0).metrics)
+        assert lane_runs.tobytes() == run_simulation(config, 0).metrics.tobytes()
 
 
 @st.composite

@@ -24,7 +24,7 @@ from kellypool import (
     run_batch,
     scenario_preset,
 )
-from kellypool import reports
+from kellypool import engine, reports
 from kellypool.engine import BatchResult, DailySeries, SimulationMetrics
 from kellypool.reports import (
     _FRACTION_SCALE,
@@ -218,35 +218,50 @@ class TestRunsExport:
         assert len(lines) == 1 + 4
 
 
+def runs_rows(cell, policy="withdrawal"):
+    lines = _cell_texts(cell)[f"runs_{policy}.csv"].splitlines()
+    return [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+
+
 class TestIntegerFields:
-    """A metric that holds the int 0 (nothing accepted) is written as 0, a float as 0.0."""
+    """A run's empty sum is written as the integer 0; a mean is always a float."""
 
-    @pytest.fixture
-    def cell(self):
-        batch = _stub_batch(0.0)
-        metrics = dataclasses.replace(batch.metrics, total_collateral_covered=0, avg_loss=0)
-        batch = BatchResult(batch.config, metrics, batch.mean_series, (metrics,))
-        return CellResult(no_withdrawal=batch, withdrawal=batch)
+    @pytest.fixture(scope="class")
+    def empty_cell(self):
+        return compare_withdrawal(ScenarioConfig(n_invoices=0, n_simulations=2))
 
-    def test_metrics_json_keeps_int_zero(self, cell, tmp_path):
-        export_bundle(cell, tmp_path)
-        text = (tmp_path / "metrics.json").read_text()
-        assert '"total_collateral_covered": 0,' in text
-        assert '"remaining_premium": 0.0,' in text
+    def test_runs_that_accept_nothing_write_int_zero(self, empty_cell):
+        for policy in empty_cell.policies:
+            rows = runs_rows(empty_cell, policy)
+            assert len(rows) == 2
+            for row in rows:
+                assert (row["total_collateral_covered"], row["avg_loss"]) == ("0", "0")
+                assert (row["avg_accepted"], row["collateral_covered_x_ic"]) == ("0.0", "0.0")
+                assert (row["n_simulations"], row["total_invoices"]) == ("1", "0")
+
+    def test_runs_paid_in_full_write_int_zero_loss(self):
+        batch = run_batch(scenario_preset("baseline", n_simulations=3))
+        rows = runs_rows(CellResult(no_withdrawal=batch), "no_withdrawal")
+        assert all(row["avg_loss"] == "0" for row in rows)
+        assert all("." in row["total_collateral_covered"] for row in rows)
+
+    def test_runs_with_unpaid_invoices_write_float_loss(self):
+        batch = run_batch(scenario_preset("2.3", n_simulations=3))
+        assert (batch.per_run.avg_accepted > batch.per_run.avg_paid).all()
+        rows = runs_rows(CellResult(no_withdrawal=batch), "no_withdrawal")
+        for row, loss in zip(rows, batch.per_run.avg_loss):
+            assert row["avg_loss"] == repr(round_money(float(loss)))
+            assert "." in row["avg_loss"]
+
+    def test_metrics_json_writes_counts_as_int_and_means_as_float(self, empty_cell):
+        text = _cell_texts(empty_cell)["metrics.json"]
+        assert '"total_collateral_covered": 0.0,' in text
         record = json.loads(text)["metrics"]["withdrawal"]
-        assert type(record["total_collateral_covered"]) is int
-        assert type(record["avg_loss"]) is int
-        assert type(record["avg_accepted"]) is float
-
-    def test_csv_files_keep_int_zero(self, cell, tmp_path):
-        export_bundle(cell, tmp_path)
-        runs = (tmp_path / "runs_withdrawal.csv").read_text().splitlines()
-        row = dict(zip(runs[0].split(","), runs[1].split(",")))
-        assert row["total_collateral_covered"] == "0"
-        assert row["avg_loss"] == "0"
-        assert row["avg_accepted"] == "0.0"
-        metrics = (tmp_path / "metrics.csv").read_text()
-        assert "\ntotal_collateral_covered,0,0,0.0\n" in metrics
+        assert [type(record[name]) for name in METRIC_FIELDS[:3]] == [int] * 3
+        assert all(type(record[name]) is float for name in METRIC_FIELDS[3:])
+        metrics = _cell_texts(empty_cell)["metrics.csv"]
+        assert "\nn_simulations,2,2,0.0\n" in metrics
+        assert "\ntotal_collateral_covered,0.0,0.0,0.0\n" in metrics
 
 
 @pytest.fixture
@@ -370,7 +385,8 @@ def _stub_batch(profit, scenario_id="stub", period=30):
         final_volume=profit + 10_000.0, amm_profit=profit, amm_profit_pct=profit / 100.0,
     )
     series = DailySeries(np.zeros((3, 4)))
-    return BatchResult(config=config, metrics=metrics, mean_series=series, per_run=(metrics,))
+    per_run = np.rec.fromrecords([dataclasses.astuple(metrics)], dtype=engine._RUN_DTYPE)
+    return BatchResult(config=config, metrics=metrics, mean_series=series, per_run=per_run)
 
 
 class TestDiffReport:
