@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .engine import POLICIES, CellResult, run_batches
-from .pool import NonPositiveDenominatorError, PoolState, ZeroVolumeError, quote_premium
+from .pool import PoolState, QuoteError, quote_premium
 from .reports import (
     complete_cell_record,
     diff_row_from_metrics_record,
@@ -111,12 +111,8 @@ def cmd_quote(args: argparse.Namespace) -> int:
     pool = PoolState(liquidity=args.liquidity, premium_reserve=args.premium)
     try:
         quote = quote_premium(args.q, args.amount, pool)
-    except NonPositiveDenominatorError as exc:
-        print(f"error: {exc} (reduce q or the demanded share of the pool)", file=sys.stderr)
-        return 2
-    except (ZeroVolumeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (QuoteError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
     _check_money("the quoted premium", quote.premium)
     print(f"f: {quote.f:.4f}")
     print(f"b: {quote.b:.4f}")

@@ -515,6 +515,7 @@ def _run_lanes(
                 volume = liquidity + premium
                 f = demanded / volume
                 denominator = 1.0 - q * (f + 1.0)
+                # accept_invoice's verdict: funds first, then the quote
                 accepted = (denominator > 0.0) & (demanded <= volume)
                 if accepted.any():
                     lent = np.where(accepted, demanded, 0.0)

@@ -19,7 +19,7 @@ volume the invoice demands,
 potential loss (the lent collateral).  The denominator must stay
 positive; once ``q * (f + 1) >= 1`` there is no positive premium that
 compensates the risk and the invoice has to be rejected.  Keeping
-``q <= 0.49`` guarantees a positive denominator for every invoice that
+``q`` below 1/2 guarantees a positive denominator for every invoice that
 fits inside the pool volume (``f <= 1``).
 
 All amounts are plain floats carrying full precision; rounding to cents
@@ -168,7 +168,8 @@ def compute_b(q: float, f: float) -> float:
     denominator = 1.0 - q * (f + 1.0)
     if denominator <= 0.0:
         raise NonPositiveDenominatorError(
-            f"q(f+1) = {q * (f + 1.0):.6f} >= 1: no positive premium exists"
+            f"q(f+1) = {q * (f + 1.0):.6f} >= 1: no positive premium exists "
+            "(reduce q or the demanded share of the pool)"
         )
     return q * q / denominator
 
@@ -185,11 +186,11 @@ def quote_premium(q: float, demanded_collateral: float, pool: PoolState) -> Prem
 def accept_invoice(pool: PoolState, invoice: Invoice) -> PremiumQuote | Rejection:
     """Try to collateralize an invoice arriving today.
 
-    On acceptance the premium is collected into the premium reserve and
-    the demanded collateral is paid out liquidity-first, with the
-    premium reserve covering any remainder.  The invoice must fit inside
-    the pool volume as it stood before the premium came in; otherwise
-    the pool is left untouched and a Rejection is returned.
+    Funds first: an invoice beyond the pool volume (before its premium
+    comes in) is rejected for insufficient funds; then the quote: one with
+    no positive premium is rejected as unquotable.  A rejection leaves the
+    pool untouched.  On acceptance the premium goes into the premium
+    reserve, which pays whatever part of the collateral liquidity cannot.
     """
     if invoice.accepted:
         raise LedgerError(f"invoice {invoice.id} was already accepted")
@@ -199,17 +200,12 @@ def accept_invoice(pool: PoolState, invoice: Invoice) -> PremiumQuote | Rejectio
             f"pool is at day {pool.day}"
         )
     demanded = invoice.demanded_collateral
-    volume = pool.volume
+    if not demanded <= pool.volume:
+        return Rejection(RejectionReason.INSUFFICIENT_FUNDS)
     try:
         quote = quote_premium(invoice.q, demanded, pool)
     except NonPositiveDenominatorError:
-        if demanded > volume:
-            return Rejection(RejectionReason.INSUFFICIENT_FUNDS)
         return Rejection(RejectionReason.UNQUOTABLE_PREMIUM)
-    except ZeroVolumeError:
-        return Rejection(RejectionReason.INSUFFICIENT_FUNDS)
-    if demanded > volume:
-        return Rejection(RejectionReason.INSUFFICIENT_FUNDS)
 
     from_liquidity = min(pool.liquidity, demanded)
     from_premium, error = two_sum(demanded, -from_liquidity)

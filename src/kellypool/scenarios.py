@@ -130,8 +130,8 @@ class ScenarioConfig:
             )
         if self.n_simulations < 1:
             raise ConfigError("n_simulations must be at least 1")
-        if self.initial_collateral <= 0:
-            raise ConfigError("initial_collateral must be positive")
+        if not self.initial_collateral >= 0.01:  # the *_x_ic ratios divide by it
+            raise ConfigError(f"initial_collateral must be at least 0.01 (a cent), got {self.initial_collateral}")
         if self.initial_premium < 0:
             raise ConfigError("initial_premium must be non-negative")
         if self.n_invoices < 0:

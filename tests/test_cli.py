@@ -42,19 +42,24 @@ class TestQuote:
             capsys, "quote", "--q", "0.6", "--amount", "700", "--liquidity", "300"
         )
         assert code == 2
-        assert "no positive premium" in err
+        assert err == (
+            "error: q(f+1) = 2.000000 >= 1: no positive premium exists "
+            "(reduce q or the demanded share of the pool)\n"
+        )
 
     def test_bad_share_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys, "quote", "--q", "1.2", "--amount", "100", "--liquidity", "1000"
         )
         assert code == 2
+        assert err == "error: q must lie strictly inside (0, 1), got 1.2\n"
 
     def test_empty_pool_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys, "quote", "--q", "0.2", "--amount", "100", "--liquidity", "0"
         )
         assert code == 2
+        assert err == "error: pool volume must be positive to quote\n"
 
     @pytest.mark.parametrize("flag", ["--q", "--amount", "--liquidity", "--premium"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -259,6 +264,16 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--config", str(config_path), "--out", str(tmp_path))
         assert code == 2
         assert err.startswith("error: ")
+
+    def test_collateral_below_a_cent_exits_2(self, capsys, tmp_path):
+        # below a cent the ratios to the collateral overflow the report rounding
+        config_path = tmp_path / "tiny.json"
+        config_path.write_text(json.dumps(
+            {"initial_collateral": 1e-9, "initial_premium": 5e13, "n_simulations": 2, "n_invoices": 10}
+        ))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config_path), "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: initial_collateral") and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "config, policy",

@@ -9,6 +9,7 @@ from kellypool import (
     Invoice,
     PoolState,
     Rejection,
+    RejectionReason,
     accept_invoice,
     compute_b,
     conservation_residual,
@@ -74,10 +75,17 @@ def test_accept_rejects_rather_than_overdraw(liquidity, premium, q, demanded):
     pool = PoolState(liquidity=liquidity, premium_reserve=premium)
     invoice = Invoice(id=0, q=q, demanded_collateral=demanded, arrival_day=0)
     outcome = accept_invoice(pool, invoice)
+    # the lanes' mask, computed as engine._run_lanes does
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        volume = np.float64(liquidity) + np.float64(premium)
+        f = np.float64(demanded) / volume
+        accepted = (1.0 - q * (f + 1.0) > 0.0) & (demanded <= volume)
     assert pool.liquidity >= 0.0
     assert pool.premium_reserve >= 0.0
+    assert isinstance(outcome, Rejection) != accepted
     if isinstance(outcome, Rejection):
         assert (pool.liquidity, pool.premium_reserve) == (liquidity, premium)
+        assert (outcome.reason is RejectionReason.INSUFFICIENT_FUNDS) == (demanded > volume)
     else:
         assert demanded <= liquidity + premium
 

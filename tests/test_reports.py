@@ -301,6 +301,17 @@ class TestExportBundle:
             export_bundle(paired_cell, cell)
         assert target.read_text() == "untouched"
 
+    def test_collateral_of_one_cent_exports_finite_metrics(self, tmp_path):
+        # the floor of the envelope: the *_x_ic ratios divide by the collateral
+        config = ScenarioConfig(initial_collateral=0.01, initial_premium=5e13,
+                                n_simulations=2, n_invoices=10)
+        export_bundle(compare_withdrawal(config), tmp_path / "cell")
+
+        def non_finite(name):
+            raise AssertionError(f"metrics.json holds {name}")
+
+        json.loads((tmp_path / "cell" / "metrics.json").read_text(), parse_constant=non_finite)
+
     def test_config_snapshot_reproduces_batch(self, paired_cell, tmp_path):
         export_bundle(paired_cell, tmp_path / "cell")
         snapshot = json.loads((tmp_path / "cell" / "config.json").read_text())

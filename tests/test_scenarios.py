@@ -88,6 +88,9 @@ class TestScenarioConfig:
             # below it, premiums of up to 12.005x the amount pass the envelope
             {"initial_collateral": 1e12, "amount_range": None, "amount_fraction_of_initial": 1.0,
              "n_invoices": 10, "q_range": (0.49, 0.49)},
+            # below a cent the *_x_ic ratios overflow the means and the report rounding
+            {"initial_collateral": 1e-9, "initial_premium": 5e13, "n_simulations": 2, "n_invoices": 10},
+            {"initial_collateral": 0.001},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
