@@ -11,7 +11,6 @@ from .engine import (
     BatchResult,
     CellResult,
     DailySeries,
-    SimulationMetrics,
     SimulationResult,
     compare_withdrawal,
     run_batch,

@@ -102,41 +102,16 @@ class DailySeries:
         return DailySeries(np.stack([s.table for s in series]).mean(axis=0))
 
 
-@dataclass(frozen=True)
-class SimulationMetrics:
-    """A batch's mean metrics: the arithmetic mean over its runs.
-
-    ``x_ic`` fields express the amount as a multiple of the initial
-    collateral.  Profit counts everything the pool ends with or paid
-    out to liquidity providers beyond the initial collateral:
-    ``amm_profit = final_volume + total_premium_withdrawn - initial``.
-    """
-
-    n_simulations: int
-    horizon_days: int
-    total_invoices: int
-    avg_accepted: float
-    pct_accepted: float
-    avg_paid: float
-    pct_paid_of_accepted: float
-    avg_unpaid: float
-    pct_unpaid_of_accepted: float
-    avg_loss: float
-    total_collateral_covered: float
-    collateral_covered_x_ic: float
-    total_premium_withdrawn: float
-    premium_withdrawn_x_ic: float
-    remaining_premium: float
-    remaining_premium_x_ic: float
-    final_volume: float
-    amm_profit: float
-    amm_profit_pct: float
-
-
-METRIC_FIELDS = tuple(f.name for f in fields(SimulationMetrics))
+# The metrics of a run, or of a batch's mean over its runs, in column order.
+METRIC_FIELDS = (
+    "n_simulations", "horizon_days", "total_invoices", "avg_accepted", "pct_accepted",
+    "avg_paid", "pct_paid_of_accepted", "avg_unpaid", "pct_unpaid_of_accepted", "avg_loss",
+    "total_collateral_covered", "collateral_covered_x_ic", "total_premium_withdrawn",
+    "premium_withdrawn_x_ic", "remaining_premium", "remaining_premium_x_ic", "final_volume",
+    "amm_profit", "amm_profit_pct",
+)
 COUNT_FIELDS = METRIC_FIELDS[:3]  # whole numbers: a run count, a day count, an invoice count
-# A table of runs: one float64 column per metric field, in field order.
-_RUN_DTYPE = np.dtype([(name, np.float64) for name in METRIC_FIELDS])
+_RUN_DTYPE = np.dtype([(name, np.float64) for name in METRIC_FIELDS])  # one metrics row
 
 
 @dataclass(frozen=True)
@@ -153,14 +128,14 @@ class BatchResult:
     """A batch's mean metrics and mean daily series, and the metrics of its runs.
 
     ``per_run`` is a read-only record table with one row per simulation,
-    in simulation order, and one float64 column per ``SimulationMetrics``
-    field: ``per_run.avg_loss`` is a column, ``per_run[k].amm_profit`` one
+    in simulation order, and one float64 column per ``METRIC_FIELDS``
+    name: ``per_run.avg_loss`` is a column, ``per_run[k].amm_profit`` one
     run's value and ``per_run.view(np.float64).reshape(len(per_run), -1)``
-    the 2-D table.
+    the 2-D table.  ``metrics`` is a read-only record of the same dtype.
     """
 
     config: ScenarioConfig
-    metrics: SimulationMetrics
+    metrics: np.record
     mean_series: DailySeries
     per_run: np.recarray
 
@@ -233,7 +208,8 @@ def _run_metrics(
     pool: PoolState, invoices: Sequence[Invoice], config: ScenarioConfig
 ) -> np.recarray:
     return _summary(
-        config.initial_collateral, config.horizon_days, config.n_arrivals,
+        (config.initial_collateral, config.initial_premium),
+        config.horizon_days, config.n_arrivals,
         n_accepted=sum(1 for inv in invoices if inv.accepted),
         n_paid=sum(1 for inv in invoices if inv.repaid),
         covered=sum_in_order(inv.demanded_collateral for inv in invoices if inv.accepted),
@@ -245,19 +221,24 @@ def _run_metrics(
 
 
 def _summary(
-    initial, horizon, n_arrivals, n_accepted, n_paid, covered, loss, volume, withdrawn, premium
+    funds, horizon, n_arrivals, n_accepted, n_paid, covered, loss, volume, withdrawn, premium
 ) -> np.recarray:
     """The metrics of runs from their end states, as a table with one row per run.
 
-    Each argument holds one value per run, or is a scalar for a single
-    run, which gives a one-row table.  The float operations are those
-    of Python floats, in the same order, so the lanes and the scalar loop
-    give the same rows bit for bit.
+    ``funds`` pairs the initial collateral and premium reserve; every
+    other argument holds one value per run, or a scalar for a one-row
+    table.  The float operations are those of Python floats, in the same
+    order, so the lanes and the scalar loop give the same rows bit for
+    bit.  ``amm_profit = final_volume + total_premium_withdrawn -
+    (initial_collateral + initial_premium)``: a seeded premium reserve is
+    not earnings.  ``amm_profit_pct`` and the ``x_ic`` fields divide by
+    the initial collateral.
     """
+    initial, seeded = funds
     accepted = np.asarray(n_accepted, dtype=np.float64)
     paid = np.asarray(n_paid, dtype=np.float64)
     unpaid = accepted - paid
-    profit = volume + withdrawn - initial
+    profit = volume + withdrawn - (initial + seeded)
     columns = (
         1, horizon, n_arrivals, accepted, _percent(accepted, n_arrivals),
         paid, _percent(paid, accepted), unpaid, _percent(unpaid, accepted),
@@ -275,15 +256,17 @@ def _percent(part: np.ndarray, whole) -> np.ndarray:
     return np.divide(100.0 * part, whole, out=np.zeros(part.shape), where=np.not_equal(whole, 0))
 
 
-def _mean_metrics(per_run: np.recarray) -> SimulationMetrics:
-    """Column-wise arithmetic mean of a table of runs, the counts as ints.
+def _mean_metrics(per_run: np.recarray) -> np.record:
+    """Column-wise arithmetic mean of a table of runs: a read-only record of its dtype.
 
     ``math.fsum`` sums each column exactly, so the mean does not depend on
     the order of the runs; the constant counts come back exact.
     """
     n = len(per_run)
-    _, horizon, n_arrivals, *means = (math.fsum(column) / n for column in zip(*per_run.tolist()))
-    return SimulationMetrics(n, int(horizon), int(n_arrivals), *means)
+    _, *means = (math.fsum(column) / n for column in zip(*per_run.tolist()))
+    mean = np.rec.fromrecords([(n, *means)], dtype=_RUN_DTYPE)
+    mean.flags.writeable = False  # every config of the batch's group shares it
+    return mean[0]
 
 
 def run_batch(config: ScenarioConfig) -> BatchResult:
@@ -562,7 +545,7 @@ def _run_lanes(
             _check_conservation(ledger, carry, initial_funds, entered_initially, lane_name)
 
     runs = _summary(
-        initial_funds[0], lane_horizon, per_lane([c.n_arrivals for c in group_configs]),
+        initial_funds, lane_horizon, per_lane([c.n_arrivals for c in group_configs]),
         n_accepted, n_paid, covered, loss, liquidity + premium, ledger[_WITHDRAWN], premium,
     )
     return [

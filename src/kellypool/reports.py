@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import astuple
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Iterator
@@ -136,14 +135,15 @@ _ACCEPTED, _PAID, _LOSS, _COVERED = map(
 )
 
 
-def _rounded_metric_rows(table: np.ndarray, per_run: bool = False) -> list[list]:
-    """The rows of a ``(rows, metric fields)`` float table, rounded for reporting.
+def _rounded_metric_rows(records: np.ndarray, per_run: bool = False) -> list[list]:
+    """The rows of a table of metrics records (``engine._RUN_DTYPE``), rounded for reporting.
 
     The counts are ints; other values round at 2 decimals for money, 4 else.
     In rows of single runs (``per_run``) an empty sum is the int 0, too:
     ``total_collateral_covered`` where nothing was accepted, and
     ``avg_loss`` where everything accepted was paid back.
     """
+    table = records.view(np.float64).reshape(len(records), -1)
     rows = _rounded(table, _METRIC_SCALES)
     for row, values in zip(rows, table.tolist()):
         row[: len(COUNT_FIELDS)] = map(int, values[: len(COUNT_FIELDS)])
@@ -207,11 +207,10 @@ def metrics_record(cell: CellResult) -> dict:
         "metrics": {},
         "loss": {},
     }
-    batch_metrics = [getattr(cell, name).metrics for name in cell.policies]
-    rows = _rounded_metric_rows(np.array([astuple(metrics) for metrics in batch_metrics]))
-    for name, metrics, row in zip(cell.policies, batch_metrics, rows):
+    means = np.array([getattr(cell, name).metrics for name in cell.policies])
+    for name, mean, row in zip(cell.policies, means, _rounded_metric_rows(means)):
         record["metrics"][name] = dict(zip(METRIC_FIELDS, row))
-        record["loss"][name] = metrics.amm_profit < 0.0
+        record["loss"][name] = bool(mean["amm_profit"] < 0.0)
     if len(cell.policies) == 2:
         record["metrics"]["difference_pct"] = _difference_column(
             record["metrics"]["no_withdrawal"], record["metrics"]["withdrawal"]
@@ -260,8 +259,7 @@ def _cell_texts(
     for name in cell.policies:
         batch: BatchResult = getattr(cell, name)
         if encoded.get(name, (None,))[0] is not batch.mean_series:
-            runs = batch.per_run.view(np.float64).reshape(len(batch.per_run), -1)
-            rows = _rounded_metric_rows(runs, per_run=True)
+            rows = _rounded_metric_rows(batch.per_run, per_run=True)
             encoded[name] = batch.mean_series, (
                 _timeseries_text(batch),
                 _csv_text(["sim_index," + ",".join(METRIC_FIELDS)],

@@ -25,7 +25,6 @@ withdrawal period, the run that reference row comes from:
   accepts 67.72% with withdrawal, not about 36%.
 """
 
-import dataclasses
 import functools
 import json
 import time
@@ -53,6 +52,7 @@ from kellypool import (
 )
 from kellypool import reports
 from kellypool.cli import main as cli_main
+from kellypool.engine import METRIC_FIELDS
 from kellypool.reports import export_bundle
 from kellypool.scenarios import SWEEP_IDS, WITHDRAWAL_PERIODS
 
@@ -247,8 +247,8 @@ def test_criterion3_baseline_reference_bands(reference_pair):
     docstring for why).
     """
     comparison, per_batch = reference_pair
-    without = dataclasses.asdict(comparison.no_withdrawal.metrics)
-    with_ = dataclasses.asdict(comparison.withdrawal.metrics)
+    without = dict(zip(METRIC_FIELDS, comparison.no_withdrawal.metrics.tolist()))
+    with_ = dict(zip(METRIC_FIELDS, comparison.withdrawal.metrics.tolist()))
     report(
         "criterion 3: baseline reference bands (1.1, 1-day/50% withdrawal)",
         [

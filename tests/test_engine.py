@@ -32,7 +32,6 @@ from kellypool import engine
 from kellypool.engine import (
     BatchResult,
     DailySeries,
-    SimulationMetrics,
     _mean_metrics,
     _run_metrics,
 )
@@ -127,6 +126,14 @@ class TestRunSimulation:
         assert result.metrics.pct_paid_of_accepted == 100.0
         assert len(result.series) == 1 + 30 + 30
 
+    def test_seeded_premium_reserve_is_not_profit(self):
+        # no defaults and no LP deposits: the pool earns exactly the premiums paid
+        config = ScenarioConfig(initial_premium=5000.0, n_invoices=100, n_simulations=2)
+        runs = [run_simulation(config, k) for k in range(2)]
+        earned = [sum(inv.premium_paid for inv in run.invoices) for run in runs]
+        assert [run.metrics.amm_profit for run in runs] == pytest.approx(earned, rel=1e-9)
+        assert run_batch(config).per_run.amm_profit.tolist() == pytest.approx(earned, rel=1e-9)
+
     def test_all_genuine_invoices_repaid_within_horizon(self):
         result = run_simulation(scenario_preset("baseline"), 3)
         accepted = [inv for inv in result.invoices if inv.accepted]
@@ -201,8 +208,10 @@ class TestRunBatch:
         config = scenario_preset("3.1", n_simulations=1, seed=13)
         batch = run_batch(config)
         single = run_simulation(config, 0)
+        assert batch.metrics.dtype == batch.per_run.dtype == single.metrics.dtype
+        assert batch.metrics.n_simulations == len(batch.per_run)
         assert batch.per_run.tobytes() == single.metrics.tobytes()
-        assert dataclasses.astuple(batch.metrics) == single.metrics.tolist()
+        assert batch.metrics.tobytes() == single.metrics.tobytes()
         assert np.array_equal(batch.mean_series.volume, single.series.volume)
 
     def test_mean_is_arithmetic(self):
@@ -216,9 +225,7 @@ class TestRunBatch:
     def test_mean_is_order_independent(self):
         config = scenario_preset("baseline", n_simulations=6, seed=3)
         per_run = run_batch(config).per_run
-        forward = _mean_metrics(per_run)
-        backward = _mean_metrics(per_run[::-1])
-        assert forward == dataclasses.replace(backward, n_simulations=forward.n_simulations)
+        assert _mean_metrics(per_run).tobytes() == _mean_metrics(per_run[::-1]).tobytes()
 
     def test_batch_deterministic(self):
         config = scenario_preset("2.1", n_simulations=5, seed=21)
@@ -297,13 +304,9 @@ class TestCompareWithdrawal:
         )
 
 
-def metric_values(metrics: SimulationMetrics) -> list[str]:
-    """A mean record's field values with their types: the counts are ints."""
-    return [repr(getattr(metrics, f.name)) for f in dataclasses.fields(metrics)]
-
-
 def assert_same_batch(result, reference) -> None:
-    assert metric_values(result.metrics) == metric_values(reference.metrics)
+    assert result.metrics.dtype == reference.metrics.dtype
+    assert result.metrics.tobytes() == reference.metrics.tobytes()
     assert result.per_run.dtype == reference.per_run.dtype
     assert result.per_run.tobytes() == reference.per_run.tobytes()
     for f in dataclasses.fields(DailySeries):
@@ -344,6 +347,9 @@ def test_mean_series_are_views_of_their_pass_sums():
     assert without.mean_series is without_p90.mean_series
     assert without.per_run is without_p90.per_run
     assert not without.per_run.flags.writeable
+    assert without.metrics is without_p90.metrics  # shared, so read-only as well
+    with pytest.raises(ValueError, match="read-only"):
+        without.metrics.amm_profit = 0.0
     tables = without.mean_series.table, with_.mean_series.table
     assert tables[0].base is not None and tables[0].base is tables[1].base
     assert np.may_share_memory(*tables)

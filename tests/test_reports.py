@@ -1,6 +1,5 @@
 """Tests for metric/time-series exports and the policy-difference report."""
 
-import dataclasses
 import json
 import os
 import stat
@@ -25,7 +24,7 @@ from kellypool import (
     scenario_preset,
 )
 from kellypool import engine, reports
-from kellypool.engine import BatchResult, DailySeries, SimulationMetrics
+from kellypool.engine import BatchResult, DailySeries
 from kellypool.reports import (
     _FRACTION_SCALE,
     _MONEY_SCALE,
@@ -386,18 +385,11 @@ def _stub_batch(profit, scenario_id="stub", period=30):
     config = ScenarioConfig(
         scenario_id=scenario_id, n_simulations=1, withdrawal_period_days=period
     )
-    metrics = SimulationMetrics(
-        n_simulations=1, horizon_days=3, total_invoices=0,
-        avg_accepted=0.0, pct_accepted=0.0, avg_paid=0.0, pct_paid_of_accepted=0.0,
-        avg_unpaid=0.0, pct_unpaid_of_accepted=0.0, avg_loss=0.0,
-        total_collateral_covered=0.0, collateral_covered_x_ic=0.0,
-        total_premium_withdrawn=0.0, premium_withdrawn_x_ic=0.0,
-        remaining_premium=0.0, remaining_premium_x_ic=0.0,
-        final_volume=profit + 10_000.0, amm_profit=profit, amm_profit_pct=profit / 100.0,
-    )
+    # n_simulations, horizon_days, total_invoices, then 13 zeros up to final_volume
+    row = (1, 3, 0, *[0.0] * 13, profit + 10_000.0, profit, profit / 100.0)
+    per_run = np.rec.fromrecords([row], dtype=engine._RUN_DTYPE)
     series = DailySeries(np.zeros((3, 4)))
-    per_run = np.rec.fromrecords([dataclasses.astuple(metrics)], dtype=engine._RUN_DTYPE)
-    return BatchResult(config=config, metrics=metrics, mean_series=series, per_run=per_run)
+    return BatchResult(config=config, metrics=per_run[0], mean_series=series, per_run=per_run)
 
 
 class TestDiffReport:
