@@ -5,7 +5,7 @@ simulation count so the demo finishes in about a second; bump
 N_SIMULATIONS to 100 for table-grade averages.
 """
 
-from kellypool import compare_withdrawal, format_summary, scenario_preset
+from kellypool import compare_withdrawal, format_summary, metrics_record, scenario_preset
 
 N_SIMULATIONS = 30
 
@@ -15,11 +15,12 @@ def main():
         "5.1", n_simulations=N_SIMULATIONS, seed=7, withdrawal_period_days=30
     )
     comparison = compare_withdrawal(config)
+    record = metrics_record(comparison)
 
     print(f"scenario {config.scenario_id}: {N_SIMULATIONS} simulations, "
           f"{config.horizon_days}-day horizon, withdrawal every "
           f"{config.withdrawal_period_days} days\n")
-    print(format_summary(comparison))
+    print(format_summary(record))
 
     series = comparison.withdrawal.mean_series
     print("\nmean trajectory every 100 days (withdrawal policy):")
@@ -28,7 +29,7 @@ def main():
         print(f"  {day:>4} {series.liquidity[day]:>12,.2f} "
               f"{series.premium_reserve[day]:>10,.2f} {series.cumulative_withdrawn[day]:>11,.2f}")
 
-    diff = comparison.profit_difference_pct
+    diff = record["metrics"]["difference_pct"]["amm_profit"]
     print(f"\nprofit difference, withdrawal vs none: {diff:+.2f}%")
 
 

@@ -159,25 +159,23 @@ def _cells(
     }
 
 
-def _export_cells(
-    cells: dict[Path, dict[str, ScenarioConfig]]
-) -> Iterator[tuple[Path, CellResult, dict]]:
-    """Run all cells in one ``run_batches``; yield each written cell's directory,
-    result and metrics record.  A preset's period cells come in a row and share
-    their no-withdrawal batch, whose texts one ``encoded`` dict keeps for them."""
+def _export_cells(cells: dict[Path, dict[str, ScenarioConfig]]) -> Iterator[tuple[Path, dict]]:
+    """Run all cells in one ``run_batches``; yield each written cell's directory
+    and metrics record.  A preset's period cells come in a row and share their
+    no-withdrawal batch, whose texts one ``encoded`` dict keeps for them."""
     batches = iter(run_batches([batch for cell in cells.values() for batch in cell.values()]))
     encoded: dict = {}
     for cell_dir, batch_configs in cells.items():
         cell = CellResult(**{name: next(batches) for name in batch_configs})
         record = metrics_record(cell)
         export_bundle(cell, cell_dir, record, encoded)
-        yield cell_dir, cell, record
+        yield cell_dir, record
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cells = _cells(Path(args.out), [_resolve_config(args)], args.policy)
-    for cell_dir, cell, _ in _export_cells(cells):
-        print(format_summary(cell))
+    for cell_dir, record in _export_cells(cells):
+        print(format_summary(record))
         print(f"\nreport bundle written to {cell_dir}")
     return 0
 
@@ -199,10 +197,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             records[cell_dir] = record
             print(f"{cell_dir.name}: already complete, skipping")
 
-    for cell_dir, cell, record in _export_cells(pending):
+    for cell_dir, record in _export_cells(pending):
         records[cell_dir] = record
-        profits = {name: getattr(cell, name).metrics.amm_profit_pct for name in cell.policies}
-        shown = ", ".join(f"{name} profit {value:.2f}%" for name, value in profits.items())
+        shown = ", ".join(f"{name} profit {record['metrics'][name]['amm_profit_pct']:.2f}%"
+                          for name in record["policies"])
         print(f"{cell_dir.name}: {shown}")
 
     rows = [diff_row_from_metrics_record(records[cell_dir]) for cell_dir in cells]

@@ -648,13 +648,6 @@ def _invoice_tables(stream_configs: list[ScenarioConfig], sims: range, horizon: 
 POLICIES = ("no_withdrawal", "withdrawal")  # a cell's premium policies, in column order
 
 
-def difference_pct(base: float, value: float) -> float | None:
-    """``100 * (value - base) / |base|``: 0.0 when both are zero, None when only the base is."""
-    if base == 0:
-        return 0.0 if value == 0 else None
-    return 100.0 * (value - base) / abs(base)
-
-
 @dataclass(frozen=True)
 class CellResult:
     """One scenario cell: its batch under each premium policy that ran, on one seed.
@@ -680,14 +673,6 @@ class CellResult:
     @property
     def scenario_id(self) -> str:
         return self.config.scenario_id
-
-    @property
-    def profit_difference_pct(self) -> float | None:
-        """``difference_pct`` of the policies' profits; None when a policy did not run."""
-        if len(self.policies) < 2:
-            return None
-        without, with_ = self.no_withdrawal.metrics.amm_profit, self.withdrawal.metrics.amm_profit
-        return difference_pct(without, with_)
 
 
 def compare_withdrawal(config: ScenarioConfig) -> CellResult:

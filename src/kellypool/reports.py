@@ -10,9 +10,10 @@ are the reference.  The exporters round whole arrays at once to the
 same floats (``_rounded``).  ``_rounded_metric_rows`` rounds the mean
 records and each per-run table, writing the counts and a run's empty
 sums as ints; the money time series is written from ints (``_money_texts``).
-The policy-difference column is ``engine.difference_pct`` of the
-rounded columns, from no withdrawal to withdrawal, rounded at 4
-decimals; it is left empty where that is None.
+The policy-difference column is ``difference_pct`` of the rounded
+columns, from no withdrawal to withdrawal, rounded at 4 decimals; it is
+left empty where that is None.  The metrics record (``metrics_record``)
+is the one source of every number a cell reports.
 A cell's file set is one table of file name to text (``_cell_texts``),
 which ``export_bundle`` writes into the cell directory.  Every file is
 written atomically (``<name>.tmp`` plus rename), and ``config.json`` last,
@@ -30,7 +31,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .engine import COUNT_FIELDS, METRIC_FIELDS, POLICIES, BatchResult, CellResult, difference_pct
+from .engine import COUNT_FIELDS, METRIC_FIELDS, POLICIES, BatchResult, CellResult
 from .scenarios import ScenarioConfig, _is_number
 
 # Recorded in each cell's ``config.json``, so a resumed sweep recomputes
@@ -56,12 +57,12 @@ MONEY_FIELDS = frozenset(
 
 def round_money(value: float) -> float:
     """Round euros half-up to cents, for reporting only."""
-    return float(Decimal(repr(value)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    return float(Decimal(repr(float(value))).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
 def round_fraction(value: float) -> float:
     """Round dimensionless values half-up to 4 decimals, for reporting only."""
-    return float(Decimal(repr(value)).quantize(Decimal("0.0001"), rounding=ROUND_HALF_UP))
+    return float(Decimal(repr(float(value))).quantize(Decimal("0.0001"), rounding=ROUND_HALF_UP))
 
 
 _MONEY_SCALE = 100
@@ -154,6 +155,13 @@ def _rounded_metric_rows(records: np.ndarray, per_run: bool = False) -> list[lis
     return rows
 
 
+def difference_pct(base: float, value: float) -> float | None:
+    """``100 * (value - base) / |base|``: 0.0 when both are zero, None when only the base is."""
+    if base == 0:
+        return 0.0 if value == 0 else None
+    return 100.0 * (value - base) / abs(base)
+
+
 def _difference_column(without: dict, with_: dict) -> dict:
     changes = [difference_pct(without[name], with_[name]) for name in METRIC_FIELDS]
     rounded = iter(_rounded([c for c in changes if c is not None], _FRACTION_SCALE))
@@ -198,7 +206,8 @@ def _csv_text(header_lines: list[str], rows) -> str:
 
 
 def metrics_record(cell: CellResult) -> dict:
-    """Metrics for every policy ran, plus the difference column when paired."""
+    """Metrics for every policy ran, plus the difference column when paired.  A policy's
+    ``loss`` flag is its rounded profit below zero, as in its diff row: -0.0 is no loss."""
     record = {
         "scenario_id": cell.scenario_id,
         "difference_convention": DIFFERENCE_CONVENTION,
@@ -208,9 +217,9 @@ def metrics_record(cell: CellResult) -> dict:
         "loss": {},
     }
     means = np.array([getattr(cell, name).metrics for name in cell.policies])
-    for name, mean, row in zip(cell.policies, means, _rounded_metric_rows(means)):
-        record["metrics"][name] = dict(zip(METRIC_FIELDS, row))
-        record["loss"][name] = bool(mean["amm_profit"] < 0.0)
+    for name, row in zip(cell.policies, _rounded_metric_rows(means)):
+        metrics = record["metrics"][name] = dict(zip(METRIC_FIELDS, row))
+        record["loss"][name] = metrics["amm_profit"] < 0
     if len(cell.policies) == 2:
         record["metrics"]["difference_pct"] = _difference_column(
             record["metrics"]["no_withdrawal"], record["metrics"]["withdrawal"]
@@ -390,9 +399,8 @@ def write_diff_rows(rows: list[dict], path: str | Path) -> Path:
     return _atomic_write(Path(path), _csv_text(header, ([row[c] for c in columns] for row in rows)))
 
 
-def format_summary(cell: CellResult) -> str:
-    """Fixed-width metric table for terminal output."""
-    record = metrics_record(cell)
+def format_summary(record: dict) -> str:
+    """Fixed-width metric table of a metrics record, for terminal output."""
     columns = list(record["metrics"])
     header = ["metric".ljust(28)] + [c.rjust(16) for c in columns]
     lines = [" ".join(header), "-" * (28 + 17 * len(columns))]

@@ -147,8 +147,8 @@ class ScenarioConfig:
             a_lo, a_hi = self.amount_range
             if not (0.0 < a_lo <= a_hi):
                 raise ConfigError(f"amount_range must be positive and ordered, got {self.amount_range}")
-        elif self.amount_fraction_of_initial <= 0.0:
-            raise ConfigError("amount_fraction_of_initial must be positive")
+        elif not self.amount_fraction_of_initial * self.initial_collateral > 0.0:
+            raise ConfigError("amount_fraction_of_initial x initial_collateral must be a positive amount")
         d_lo, d_hi = self.delay_range_days
         if not (0 < d_lo <= d_hi):
             raise ConfigError(f"delay_range_days must be positive and ordered, got {self.delay_range_days}")

@@ -275,6 +275,31 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert err.startswith("error: initial_collateral") and "Traceback" not in err
 
+    def test_zero_euro_invoices_exit_2(self, capsys, tmp_path):
+        # 5e-324 x 0.01 underflows to a fixed amount of 0.0 euros, which the
+        # scalar loop refused mid-run and the lanes accepted
+        config_path = tmp_path / "zero.json"
+        config_path.write_text(json.dumps(
+            {"initial_collateral": 0.01, "amount_range": None, "amount_fraction_of_initial": 5e-324,
+             "n_invoices": 5}
+        ))
+        code, out, err = run_cli(
+            capsys, "simulate", "--config", str(config_path), "--sims", "1", "--policy", "without",
+            "--out", str(tmp_path),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: amount_fraction_of_initial") and "Traceback" not in err
+
+    def test_builds_one_metrics_record(self, capsys, tmp_path, monkeypatch):
+        calls = Counter()
+        for module in (reports, cli):
+            monkeypatch.setattr(module, "metrics_record", counting(calls, module, "metrics_record"))
+        code, out, _ = run_cli(
+            capsys, "simulate", "--scenario", "5.1", "--sims", "2", "--out", str(tmp_path)
+        )
+        assert code == 0 and "amm_profit_pct" in out
+        assert calls == {"metrics_record": 1}
+
     @pytest.mark.parametrize(
         "config, policy",
         [

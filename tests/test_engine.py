@@ -22,6 +22,8 @@ from kellypool import (
     compare_withdrawal,
     compute_b,
     conservation_residual,
+    metrics_record,
+    round_fraction,
     run_batch,
     run_batches,
     run_day,
@@ -282,26 +284,40 @@ class TestCompareWithdrawal:
         comparison = compare_withdrawal(config)
         assert comparison.no_withdrawal.metrics.amm_profit == 0.0
         assert comparison.withdrawal.metrics.amm_profit == 0.0
-        assert comparison.profit_difference_pct == 0.0
+        assert metrics_record(comparison)["metrics"]["difference_pct"]["amm_profit"] == 0.0
 
     def test_cell_records_its_last_policy(self):
         config = ScenarioConfig(n_invoices=50, n_simulations=1)
         without, with_ = run_batches([config, config.replace(withdrawal_enabled=True)])
         single = CellResult(no_withdrawal=without)
         assert (single.policies, single.config) == (("no_withdrawal",), without.config)
-        assert single.profit_difference_pct is None
+        assert "difference_pct" not in metrics_record(single)["metrics"]
         assert CellResult(without, with_).config is with_.config
         with pytest.raises(ValueError):
             CellResult()
 
     def test_difference_formula(self):
         config = scenario_preset("5.2", n_simulations=3, seed=5, withdrawal_period_days=30)
-        comparison = compare_withdrawal(config)
-        without = comparison.no_withdrawal.metrics.amm_profit
-        with_ = comparison.withdrawal.metrics.amm_profit
-        assert comparison.profit_difference_pct == pytest.approx(
-            100.0 * (with_ - without) / abs(without), rel=1e-12
+        metrics = metrics_record(compare_withdrawal(config))["metrics"]
+        without = metrics["no_withdrawal"]["amm_profit"]
+        with_ = metrics["withdrawal"]["amm_profit"]
+        assert metrics["difference_pct"]["amm_profit"] == round_fraction(
+            100.0 * (with_ - without) / abs(without)
         )
+
+
+def test_profit_counts_premiums_and_lp_deposits():
+    # criterion 3's reference row counts LP deposits as profit: preset 1.1
+    # reads 867.42% with them at seed 0, and 703.20% without, below its band
+    config = scenario_preset("1.1", n_simulations=2)
+    per_run = run_batch(config).per_run
+    for k, run in enumerate(per_run):
+        premiums = sum(inv.premium_paid for inv in run_simulation(config, k).invoices)
+        rng = simulation_rng(config.seed, k)
+        generate_stream(config, rng)
+        deposits = lp_contribution_schedule(config, rng).sum()
+        assert deposits > 0.0
+        assert run.amm_profit == pytest.approx(premiums + deposits - run.avg_loss, rel=1e-9)
 
 
 def assert_same_batch(result, reference) -> None:

@@ -78,6 +78,12 @@ class TestRounding:
         assert round_fraction(0.44444444) == 0.4444
         assert round_fraction(0.37895) == 0.379
 
+    def test_numpy_floats_round_as_python_floats(self):
+        assert round_money(np.float64(2.675)) == 2.68
+        assert round_fraction(np.float64(0.37895)) == 0.379
+        batch = run_batch(scenario_preset("2.3", n_simulations=2))
+        assert round_money(batch.metrics.amm_profit) == round_money(float(batch.metrics.amm_profit))
+
 
 # Values whose decimal repr sits on or next to a rounding half, for both scales.
 TIE_CASES = (
@@ -422,10 +428,20 @@ class TestDiffReport:
 
     def test_zero_base_alone_leaves_the_difference_undefined(self):
         cell = CellResult(no_withdrawal=_stub_batch(0.0), withdrawal=_stub_batch(50.0))
-        assert cell.profit_difference_pct is None
         assert metrics_record(cell)["metrics"]["difference_pct"]["amm_profit"] is None
         (row,) = diff_report_rows([cell])
         assert row["difference_pct"] is None
+
+    def test_loss_flags_read_the_rounded_profit(self):
+        # a mean profit of -0.001 euros reports as -0.0, which is no loss
+        config = ScenarioConfig(scenario_id="dust", amount_range=(0.001, 0.001),
+                                nonpayment_probability=1.0, n_invoices=1, n_simulations=1)
+        cell = compare_withdrawal(config)
+        record = metrics_record(cell)
+        (row,) = diff_report_rows([cell])
+        assert record["metrics"]["no_withdrawal"]["amm_profit"] == 0.0
+        flags = {"no_withdrawal": row["loss_no_withdrawal"], "withdrawal": row["loss_withdrawal"]}
+        assert record["loss"] == flags == {"no_withdrawal": False, "withdrawal": False}
 
     def test_single_policy_bundles_skipped(self, single_cell, tmp_path):
         with pytest.raises(ValueError):
@@ -434,7 +450,7 @@ class TestDiffReport:
 
 class TestFormatSummary:
     def test_contains_columns_and_fields(self, paired_cell):
-        text = format_summary(paired_cell)
+        text = format_summary(metrics_record(paired_cell))
         assert "no_withdrawal" in text and "withdrawal" in text
         for name in ("pct_accepted", "amm_profit_pct", "final_volume"):
             assert name in text

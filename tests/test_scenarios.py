@@ -91,6 +91,8 @@ class TestScenarioConfig:
             # below a cent the *_x_ic ratios overflow the means and the report rounding
             {"initial_collateral": 1e-9, "initial_premium": 5e13, "n_simulations": 2, "n_invoices": 10},
             {"initial_collateral": 0.001},
+            # a fixed amount that underflows to 0.0 euros
+            {"initial_collateral": 0.01, "amount_range": None, "amount_fraction_of_initial": 5e-324},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
