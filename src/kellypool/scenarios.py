@@ -64,21 +64,66 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
-# Checks per field annotation; an int passes as a float.
-_TYPE_CHECKS = {
-    "str": (lambda v: isinstance(v, str), "a string"),
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
-    "int": (_is_int, "an integer"),
-    "float": (_is_number, "a finite number"),
-    "tuple[int, int]": (
-        lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(_is_int, v)),
-        "a pair of integers",
+# A rule is (accepts, description): whether a value has the field's type and
+# lies in its range, and the words that name such values.  An int passes as a float.
+_INT = (_is_int, "an integer")
+_NUMBER = (_is_number, "a finite number")
+_POSITIVE = ((lambda v: _is_number(v) and v > 0.0), "a positive finite number")
+_SHARE = ((lambda v: _is_number(v) and 0.0 <= v <= 1.0), "a number in [0, 1]")
+_OPEN_SHARE = ((lambda v: _is_number(v) and 0.0 < v < 1.0), "a number inside (0, 1)")
+
+
+def _at_least(low, kind=_INT):
+    is_kind, name = kind
+    bound = "non-negative" if low == 0 else f"at least {low}"
+    return (lambda v: is_kind(v) and v >= low), f"{bound} ({name})"
+
+
+def _one_of(choices, is_kind):
+    return (lambda v: is_kind(v) and v in choices), f"one of {choices}"
+
+
+def _pair(rule):
+    """Tuples of two values that pass ``rule``, the first no larger."""
+    accepts, description = rule
+    return (
+        lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(accepts, v)) and v[0] <= v[1]
+    ), f"an ordered pair, each {description}"
+
+
+def _or_none(rule):
+    accepts, description = rule
+    return (lambda v: v is None or accepts(v)), f"{description}, or None"
+
+
+# One rule per constructor field of ScenarioConfig, in field order.
+_FIELD_RULES = {
+    "scenario_id": (
+        lambda v: isinstance(v, str) and _SCENARIO_ID.fullmatch(v) is not None,
+        "a string of ASCII letters, digits, '.', '_' or '-' that does not start with '.'",
     ),
-    "tuple[float, float]": (
-        lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(_is_number, v)),
-        "a pair of finite numbers",
-    ),
+    "n_simulations": _at_least(1),
+    "initial_collateral": _at_least(0.01, _NUMBER),  # a cent: the *_x_ic ratios divide by it
+    "initial_premium": _at_least(0, _NUMBER),
+    "n_invoices": _at_least(0),
+    "q_range": _pair(_OPEN_SHARE),
+    "amount_range": _or_none(_pair(_POSITIVE)),
+    "amount_fraction_of_initial": _or_none(_NUMBER),
+    "delay_range_days": _pair(_at_least(1)),
+    "lp_contribution_probability": _SHARE,
+    "lp_cap_fraction": _SHARE,
+    "lp_contribution_mode": _one_of(("uniform", "fixed"), lambda v: isinstance(v, str)),
+    "nonpayment_probability": _SHARE,
+    "hack_probability": _SHARE,
+    "hack_q": _or_none(_OPEN_SHARE),
+    "max_entry_days": _or_none(_at_least(0)),
+    "additional_days": _at_least(0),
+    "withdrawal_enabled": ((lambda v: isinstance(v, bool)), "true or false"),
+    "withdrawal_period_days": _one_of(WITHDRAWAL_PERIODS, _is_int),
+    "withdrawal_fraction": _SHARE,
+    "seed": _at_least(0),
 }
+_PAIR_FIELDS = ("q_range", "amount_range", "delay_range_days")  # tuples, lists in JSON
 
 
 @dataclass(frozen=True)
@@ -112,73 +157,26 @@ class ScenarioConfig:
     hack_q: float | None = None
     max_entry_days: int | None = None
     additional_days: int = 30
-    horizon_days: int | None = None
+    horizon_days: int = dataclasses.field(default=None, init=False)
     withdrawal_enabled: bool = False
     withdrawal_period_days: int = 30
     withdrawal_fraction: float = 0.5
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name, optional, check, expected in _FIELD_CHECKS:
+        for name, (accepts, description) in _FIELD_RULES.items():
             value = getattr(self, name)
-            if not (check(value) or optional and value is None):
-                raise ConfigError(f"{name} must be {expected}, got {value!r}")
-        if not _SCENARIO_ID.fullmatch(self.scenario_id):
-            raise ConfigError(
-                f"scenario_id must be ASCII letters, digits, '.', '_' or '-' and not start "
-                f"with '.', got {self.scenario_id!r}"
-            )
-        if self.n_simulations < 1:
-            raise ConfigError("n_simulations must be at least 1")
-        if not self.initial_collateral >= 0.01:  # the *_x_ic ratios divide by it
-            raise ConfigError(f"initial_collateral must be at least 0.01 (a cent), got {self.initial_collateral}")
-        if self.initial_premium < 0:
-            raise ConfigError("initial_premium must be non-negative")
-        if self.n_invoices < 0:
-            raise ConfigError("n_invoices must be non-negative")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        lo, hi = self.q_range
-        if not (0.0 < lo <= hi < 1.0):
-            raise ConfigError(f"q_range must lie inside (0, 1) and be ordered, got {self.q_range}")
+            if not accepts(value):
+                raise ConfigError(f"{name} must be {description}, got {value!r}")
         if (self.amount_range is None) == (self.amount_fraction_of_initial is None):
             raise ConfigError("set exactly one of amount_range and amount_fraction_of_initial")
-        if self.amount_range is not None:
-            a_lo, a_hi = self.amount_range
-            if not (0.0 < a_lo <= a_hi):
-                raise ConfigError(f"amount_range must be positive and ordered, got {self.amount_range}")
-        elif not self.amount_fraction_of_initial * self.initial_collateral > 0.0:
+        if self.amount_range is None and not self.amount_fraction_of_initial * self.initial_collateral > 0.0:
             raise ConfigError("amount_fraction_of_initial x initial_collateral must be a positive amount")
-        d_lo, d_hi = self.delay_range_days
-        if not (0 < d_lo <= d_hi):
-            raise ConfigError(f"delay_range_days must be positive and ordered, got {self.delay_range_days}")
-        for name in ("lp_contribution_probability", "nonpayment_probability",
-                     "hack_probability", "withdrawal_fraction", "lp_cap_fraction"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {value}")
-        if self.lp_contribution_mode not in ("uniform", "fixed"):
-            raise ConfigError(f"lp_contribution_mode must be 'uniform' or 'fixed', got {self.lp_contribution_mode!r}")
-        if self.hack_q is not None and not (0.0 < self.hack_q < 1.0):
-            raise ConfigError(f"hack_q must lie inside (0, 1), got {self.hack_q}")
-        if self.withdrawal_period_days not in WITHDRAWAL_PERIODS:
-            raise ConfigError(
-                f"withdrawal_period_days must be one of {WITHDRAWAL_PERIODS}, got {self.withdrawal_period_days}"
-            )
         if self.max_entry_days is None:
             object.__setattr__(self, "max_entry_days", self.n_invoices)
-        elif self.max_entry_days < 0:
-            raise ConfigError("max_entry_days must be non-negative")
-        if self.additional_days < 0:
-            raise ConfigError("additional_days must be non-negative")
-        derived = self.max_entry_days + self.delay_range_days[1] + self.additional_days
-        if self.horizon_days is None:
-            object.__setattr__(self, "horizon_days", derived)
-        elif self.horizon_days != derived:
-            raise ConfigError(
-                f"horizon_days must equal max_entry_days + max delay + additional_days "
-                f"= {derived}, got {self.horizon_days}"
-            )
+        object.__setattr__(
+            self, "horizon_days", self.max_entry_days + self.delay_range_days[1] + self.additional_days
+        )
         if max(self.n_invoices, self.horizon_days) > _MAX_DAYS:
             raise ConfigError(
                 f"n_invoices and horizon_days must be at most {_MAX_DAYS:,}, "
@@ -213,34 +211,40 @@ class ScenarioConfig:
     n_arrivals = property(lambda self: min(self.n_invoices, self.max_entry_days))
 
     def replace(self, **changes) -> "ScenarioConfig":
-        """Copy with fields changed; ``horizon_days`` is derived again unless given.
+        """Copy with fields changed; ``horizon_days`` is derived again.
 
         ``max_entry_days`` follows a new ``n_invoices`` only while it still
         holds its default, the old ``n_invoices``; a custom value is kept.
         """
-        changes.setdefault("horizon_days", None)
         if "n_invoices" in changes and self.max_entry_days == self.n_invoices:
             changes.setdefault("max_entry_days", None)
         return dataclasses.replace(self, **changes)
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-        for key in ("q_range", "amount_range", "delay_range_days"):
+        for key in _PAIR_FIELDS:
             if out[key] is not None:
                 out[key] = list(out[key])
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        """The config of a ``to_dict`` record; its ``horizon_days`` must be the derived one."""
+        kwargs = dict(data)
+        horizon_days = kwargs.pop("horizon_days", None)
+        unknown = set(kwargs) - set(_FIELD_RULES)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        kwargs = dict(data)
-        for key in ("q_range", "amount_range", "delay_range_days"):
+        for key in _PAIR_FIELDS:
             if isinstance(kwargs.get(key), list):
                 kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        config = cls(**kwargs)
+        if horizon_days is not None and not (_is_int(horizon_days) and horizon_days == config.horizon_days):
+            raise ConfigError(
+                f"horizon_days must equal max_entry_days + max delay + additional_days "
+                f"= {config.horizon_days}, got {horizon_days!r}"
+            )
+        return config
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ScenarioConfig":
@@ -252,13 +256,6 @@ class ScenarioConfig:
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: config file must hold a JSON object")
         return cls.from_dict(data)
-
-
-# Per field: its name, whether it may be None, and the check of its annotated type.
-_FIELD_CHECKS = tuple(
-    (f.name, f.type.endswith(" | None"), *_TYPE_CHECKS[f.type.removesuffix(" | None")])
-    for f in dataclasses.fields(ScenarioConfig)
-)
 
 
 # --- Preset catalog ---------------------------------------------------------
@@ -456,8 +453,7 @@ def decode_streams(config: ScenarioConfig, sim_indices) -> StreamArrays:
     n_words = stream_words(config)
     raw = np.empty((n_sims, n_words), dtype=np.uint64)
     for row, sim_index in enumerate(sims):
-        seed_seq = np.random.SeedSequence(config.seed, spawn_key=(sim_index,))
-        raw[row] = np.random.PCG64(seed_seq).random_raw(n_words)
+        raw[row] = simulation_rng(config.seed, sim_index).bit_generator.random_raw(n_words)
     rows = np.arange(n_sims)[:, None]
 
     def unit(index: np.ndarray) -> np.ndarray:

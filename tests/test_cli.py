@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from kellypool import SWEEP_IDS, WITHDRAWAL_PERIODS, cli, reports
+from kellypool import SWEEP_IDS, WITHDRAWAL_PERIODS, ScenarioConfig, cli, reports, run_batch
 from kellypool.cli import main
 
 # JSON text nested too deeply for the parser: json.loads raises RecursionError.
@@ -217,6 +217,7 @@ class TestSimulate:
             (json.dumps({"n_invoices": 5, "bogus_field": 1}).encode(), "unknown config fields"),
             (b'{"scenario_id": "caf\xe9"}', "UTF-8"),
             (DEEPLY_NESTED.encode(), "not valid UTF-8 JSON"),
+            (b"[1, 2]", "config file must hold a JSON object"),
         ):
             config_path.write_bytes(content)
             code, _, err = run_cli(
@@ -343,6 +344,43 @@ class TestSimulate:
         )
         assert code == 3
         assert "I/O error" in err
+
+    def test_failed_write_exits_3_and_leaves_no_temporary_file(self, capsys, tmp_path):
+        cell = tmp_path / "5.3_p30"
+        (cell / "metrics.json").mkdir(parents=True)
+        code, _, err = run_cli(
+            capsys, "simulate", "--scenario", "5.3", "--sims", "1", "--out", str(tmp_path)
+        )
+        assert code == 3
+        assert err.startswith("I/O error:") and "Traceback" not in err
+        assert not (cell / "metrics.json.tmp").exists()
+
+    def test_withdraw_fraction_reaches_every_cell(self, capsys, tmp_path, monkeypatch):
+        cells = {}
+        export_bundle = cli.export_bundle
+
+        def exporting(cell, directory, *rest):
+            cells[Path(directory).name] = cell
+            return export_bundle(cell, directory, *rest)
+
+        monkeypatch.setattr(cli, "export_bundle", exporting)
+        code, _, _ = run_cli(
+            capsys, "simulate", "--scenario", "2.3", "--sims", "2", "--withdraw-fraction", "0.25",
+            "--out", str(tmp_path / "simulate"),
+        )
+        assert code == 0
+        snapshot = json.loads((tmp_path / "simulate" / "2.3_p30" / "config.json").read_text())
+        assert snapshot["config"]["withdrawal_fraction"] == 0.25
+        config = ScenarioConfig.from_dict(snapshot["config"])
+        assert config.withdrawal_enabled
+        assert cells["2.3_p30"].withdrawal.per_run.tobytes() == run_batch(config).per_run.tobytes()
+
+        sweep = tmp_path / "sweep"
+        assert run_cli(capsys, "sweep", "--sims", "1", "--withdraw-fraction", "0.25",
+                       "--out", str(sweep))[0] == 0
+        snapshots = [json.loads(path.read_text()) for path in sweep.glob("*/config.json")]
+        assert len(snapshots) == 3 * len(SWEEP_IDS)
+        assert {record["config"]["withdrawal_fraction"] for record in snapshots} == {0.25}
 
     def test_bad_period_rejected_by_parser(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as excinfo:

@@ -192,7 +192,7 @@ class TestRunSimulation:
             pool = PoolState(liquidity=config.initial_collateral)
             due = {}
             for day in range(config.horizon_days):
-                arriving = invoices[day] if day < config.max_entry_days else None
+                arriving = invoices[day] if day < config.n_arrivals else None
                 run_day(pool, day, due.pop(day, ()), arriving, config, float(deposits[day]))
                 if (arriving is not None and arriving.accepted and not arriving.defaults
                         and arriving.due_day < config.horizon_days):
@@ -614,6 +614,19 @@ LARGE_POOL = dict(
     delay_range_days=(20, 40), lp_contribution_probability=1.0, lp_cap_fraction=0.01,
     nonpayment_probability=0.5,
 )
+
+
+def test_premium_reserve_dust_is_parked_by_both_engines():
+    # the payout of the one invoice rounds the premium reserve below zero;
+    # both ledgers move that dust into the carry and report an empty reserve
+    config = ScenarioConfig(
+        initial_collateral=1.0, initial_premium=1.2e-16, amount_range=(1 + 2**-52,) * 2,
+        q_range=(1e-10,) * 2, n_invoices=1, delay_range_days=(1, 1), additional_days=0,
+        n_simulations=3,
+    )
+    result = run_batch(config)
+    assert_same_batch(result, scalar_batch(config))
+    assert result.per_run.remaining_premium.tolist() == [0.0] * 3
 
 
 def test_large_pool_gets_one_verdict_from_both_engines():

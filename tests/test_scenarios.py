@@ -1,5 +1,6 @@
 """Tests for scenario configuration, presets, and invoice generation."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -40,9 +41,17 @@ class TestScenarioConfig:
         assert config.horizon_days == 500 + 60 + 30
 
     def test_explicit_horizon_must_match(self):
-        assert ScenarioConfig(horizon_days=650).horizon_days == 650
-        with pytest.raises(ConfigError):
-            ScenarioConfig(horizon_days=600)
+        # a config record may carry horizon_days, but only at its derived value
+        assert ScenarioConfig.from_dict({"horizon_days": 650}).horizon_days == 650
+        for horizon_days in (600, 650.0):
+            with pytest.raises(ConfigError, match="horizon_days must equal"):
+                ScenarioConfig.from_dict({"horizon_days": horizon_days})
+        with pytest.raises(TypeError):
+            ScenarioConfig(horizon_days=650)
+
+    def test_every_constructor_field_has_one_rule(self):
+        init_fields = [f.name for f in dataclasses.fields(ScenarioConfig) if f.init]
+        assert list(scenarios._FIELD_RULES) == init_fields
 
     def test_max_entry_defaults_to_invoice_count(self):
         assert ScenarioConfig(n_invoices=42).max_entry_days == 42
@@ -93,6 +102,10 @@ class TestScenarioConfig:
             {"initial_collateral": 0.001},
             # a fixed amount that underflows to 0.0 euros
             {"initial_collateral": 0.01, "amount_range": None, "amount_fraction_of_initial": 5e-324},
+            {"initial_premium": -1.0},
+            {"n_invoices": -1},
+            {"max_entry_days": -1},
+            {"additional_days": -1},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -391,8 +404,9 @@ class TestDecodeStreams:
 
     def test_wide_delay_range_falls_back_to_the_generator(self, monkeypatch):
         # Lemire's method rejects 98,482 of every 2**32 draws for this span,
-        # which at seed 69 hits simulations 4 and 18
-        config = ScenarioConfig(n_invoices=400, delay_range_days=(1, 98_719), seed=69)
+        # which at seed 69 hits simulations 4 and 18; the LP draws follow the stream
+        config = ScenarioConfig(n_invoices=400, delay_range_days=(1, 98_719), seed=69,
+                                lp_contribution_probability=0.3, lp_cap_fraction=0.01)
         calls = []
         original = scenarios.generate_stream
         monkeypatch.setattr(
@@ -404,6 +418,8 @@ class TestDecodeStreams:
         assert len(calls) == 2
         monkeypatch.undo()
         for row, sim_index in enumerate(sims):
-            invoices = generate_stream(config, simulation_rng(config.seed, sim_index))
+            rng = simulation_rng(config.seed, sim_index)
+            invoices = generate_stream(config, rng)
             assert decoded.delay[row].tolist() == [inv.payment_delay_days for inv in invoices]
             assert decoded.q[row].tolist() == [inv.q for inv in invoices]
+            assert decoded.deposits[row].tobytes() == lp_contribution_schedule(config, rng).tobytes()
