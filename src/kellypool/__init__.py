@@ -51,7 +51,6 @@ from .scenarios import (
     WITHDRAWAL_PERIODS,
     ConfigError,
     ScenarioConfig,
-    generate_invoice,
     generate_stream,
     lp_contribution_schedule,
     scenario_preset,

@@ -68,7 +68,7 @@ _CONSERVATION_GUARD = 1e-6
 # with its lane count; more, smaller passes cost more per-day array calls.
 _LANE_BUDGET = 2048
 
-# Most raw generator words (8 bytes each) decoded at once: a pass decodes
+# Most raw PCG64 words (8 bytes each) decoded at once: a pass decodes
 # each stream in chunks of this many words, or of one simulation if that
 # takes more, so decoding adds a bounded chunk to the pass's tables.
 _DECODE_WORDS = 2**16
@@ -174,10 +174,10 @@ def run_day(
 
 def run_simulation(config: ScenarioConfig, sim_index: int = 0) -> SimulationResult:
     """Run one full simulation; everything derives from (seed, sim_index)."""
-    rng = simulation_rng(config.seed, sim_index)
-    invoices = generate_stream(config, rng)
+    words = simulation_rng(config.seed, sim_index)
+    invoices = generate_stream(config, words)
     horizon = config.horizon_days
-    deposits = lp_contribution_schedule(config, rng)
+    deposits = lp_contribution_schedule(config, words)
 
     pool = PoolState(
         liquidity=config.initial_collateral, premium_reserve=config.initial_premium

@@ -37,7 +37,7 @@ from .scenarios import ScenarioConfig, _is_number
 # Recorded in each cell's ``config.json``, so a resumed sweep recomputes
 # the cells an earlier build wrote.  Raise it with every change that moves
 # a report byte of an existing file.
-RESULTS_VERSION = 1
+RESULTS_VERSION = 2
 
 DIFFERENCE_CONVENTION = "100 * (withdrawal - no_withdrawal) / |no_withdrawal|"
 TIMESERIES_HEADER = "day,liquidity,premium,volume,withdrawn"

@@ -15,12 +15,13 @@ and applies one family of deltas per scenario group:
   hack-q{49,30,10}-h{10,50,100}  bogus never-repaying invoices with a
        fixed non-collateralized share are injected at 10/50/100%
 
-Generation is driven by an explicit numpy ``Generator``; batches derive
-one independent stream per simulation index (see ``engine``), so every
-run is reproducible from ``(seed, simulation_index)`` alone.
-``generate_stream`` draws one invoice at a time and is the reference;
-``decode_streams`` produces the same streams for many simulations at
-once by decoding the generator's raw 64-bit output.
+A stream is defined on raw 64-bit words: each simulation reads its own
+PCG64 seeded by ``SeedSequence(seed, spawn_key=(simulation_index,))``
+(``simulation_rng``), whose words numpy keeps stable across versions
+(NEP 19), so every run is reproducible from ``(seed, simulation_index)``
+alone.  ``_double``, ``_uniform`` and ``_delay`` turn words into values.
+``generate_stream`` reads one word at a time and is the reference;
+``decode_streams`` reads the same words for many simulations at once.
 """
 
 from __future__ import annotations
@@ -308,76 +309,97 @@ def scenario_preset(scenario_id: str, **overrides) -> ScenarioConfig:
     return ScenarioConfig(scenario_id=scenario_id, **deltas).replace(**overrides)
 
 
-# --- Invoice generation -----------------------------------------------------
+# --- Invoice generation on raw words -----------------------------------------
 
-def generate_invoice(day: int, config: ScenarioConfig, rng: np.random.Generator) -> Invoice:
-    """Draw one invoice arriving on ``day``.
+_UINT32_MAX = 0xFFFF_FFFF
 
-    Draw order per invoice is fixed: non-collateralized share (unless
-    ``hack_q`` fixes it), demanded amount (unless it is a fixed fraction),
-    bogus flag, non-payment flag, payment delay.  The non-payment uniform
-    is drawn only for invoices that are not bogus.  The delay is always
-    drawn, so the layout does not depend on the flags; bogus and
-    flagged-unpaid invoices are marked ``defaults`` and never repay.
+
+def simulation_rng(seed: int, sim_index: int) -> np.random.PCG64:
+    """The raw word stream of one simulation of a batch."""
+    return np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(sim_index,)))
+
+
+def _double(word):
+    """The unit double in [0, 1) of a raw word (or an array of them): its top 53 bits."""
+    return (word >> 11) * 2.0**-53
+
+
+def _uniform(lo: float, hi: float, unit):
+    """A draw uniform in [lo, hi) from a unit double."""
+    return lo + (hi - lo) * unit
+
+
+def _delay(lo: int, hi: int, half):
+    """A delay in [lo, hi] from a 32-bit half word (or a uint64 array of them):
+    Lemire's multiply-shift, with no rejection, so the bias is at most (hi - lo + 1) / 2**32."""
+    return lo + (half * (hi - lo + 1) >> 32)
+
+
+def _draw_layout(config: ScenarioConfig) -> tuple[int, bool, float]:
+    """Per invoice, words read before the bogus flag and whether a delay is read
+    (none for an empty range); and the LP deposit cap, 0.0 when deposits read nothing."""
+    lead = (config.hack_q is None) + (config.amount_fraction_of_initial is None)
+    cap = config.lp_cap_fraction * config.initial_collateral
+    return (lead, config.delay_range_days[1] > config.delay_range_days[0],
+            cap if config.lp_contribution_probability > 0.0 else 0.0)
+
+
+def generate_stream(config: ScenarioConfig, words: np.random.PCG64) -> list[Invoice]:
+    """The invoice stream, one arrival per day from day 0, read one word at a time.
+
+    Per invoice the words are, in order: q (unless ``hack_q`` fixes it),
+    the amount (unless it is a fixed fraction), the bogus flag, the
+    non-payment flag (not read for a bogus invoice) and the delay.  The
+    delays of invoices 2i and 2i+1 are the low and high halves of one
+    word, read right after invoice 2i's flags.  Bogus and flagged-unpaid
+    invoices are marked ``defaults`` and never repay.
     """
-    if day < 0:
-        raise ValueError("day must be non-negative")
-    if config.hack_q is not None:
-        q = config.hack_q
-    else:
-        q = float(rng.uniform(*config.q_range))
-    if config.amount_fraction_of_initial is not None:
-        amount = config.amount_fraction_of_initial * config.initial_collateral
-    else:
-        amount = float(rng.uniform(*config.amount_range))
-    bogus = bool(rng.random() < config.hack_probability)
-    unpaid = (not bogus) and bool(rng.random() < config.nonpayment_probability)
+    _, draws_delay, _ = _draw_layout(config)
     d_lo, d_hi = config.delay_range_days
-    delay = int(rng.integers(d_lo, d_hi, endpoint=True))
-    return Invoice(
-        id=day,
-        q=q,
-        demanded_collateral=amount,
-        arrival_day=day,
-        payment_delay_days=delay,
-        bogus=bogus,
-        defaults=bogus or unpaid,
-    )
+    invoices = []
+    pending = None  # the high half of the last delay word, for the next invoice
+    for day in range(config.n_invoices):
+        q = config.hack_q
+        if q is None:
+            q = _uniform(*config.q_range, _double(words.random_raw()))
+        if config.amount_fraction_of_initial is not None:
+            amount = config.amount_fraction_of_initial * config.initial_collateral
+        else:
+            amount = _uniform(*config.amount_range, _double(words.random_raw()))
+        bogus = _double(words.random_raw()) < config.hack_probability
+        unpaid = not bogus and _double(words.random_raw()) < config.nonpayment_probability
+        delay = d_lo
+        if draws_delay:
+            if pending is None:
+                word = words.random_raw()
+                half, pending = word & _UINT32_MAX, word >> 32
+            else:
+                half, pending = pending, None
+            delay = _delay(d_lo, d_hi, half)
+        invoices.append(Invoice(id=day, q=q, demanded_collateral=amount, arrival_day=day,
+                                payment_delay_days=delay, bogus=bogus, defaults=bogus or unpaid))
+    return invoices
 
 
-def generate_stream(config: ScenarioConfig, rng: np.random.Generator) -> list[Invoice]:
-    """Generate the full invoice stream, one arrival per day from day 0."""
-    return [generate_invoice(day, config, rng) for day in range(config.n_invoices)]
-
-
-def lp_contribution_schedule(config: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
+def lp_contribution_schedule(config: ScenarioConfig, words: np.random.PCG64) -> np.ndarray:
     """Per-day liquidity-provider deposits over the config's whole horizon.
 
-    Each day contributes with the configured probability; the amount is
-    uniform in [0, cap] or exactly the cap in fixed mode.  Returns zeros
-    without consuming randomness when contributions are disabled.
+    One word per day decides whether that day contributes; in uniform mode
+    one more word per day, read after all of those, sets an amount uniform
+    in [0, cap), and in fixed mode the amount is the cap.  Returns zeros
+    without reading a word when contributions are disabled.
     """
     _, _, cap = _draw_layout(config)
     horizon_days = config.horizon_days
     if not cap:
         return np.zeros(horizon_days)
-    occurs = rng.random(horizon_days) < config.lp_contribution_probability
-    if config.lp_contribution_mode == "fixed":
-        amounts = np.full(horizon_days, cap)
-    else:
-        amounts = rng.uniform(0.0, cap, horizon_days)
-    return np.where(occurs, amounts, 0.0)
-
-
-def simulation_rng(seed: int, sim_index: int) -> np.random.Generator:
-    """Independent, reproducible stream for one simulation of a batch."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(sim_index,)))
+    occurs = _double(words.random_raw(horizon_days)) < config.lp_contribution_probability
+    if config.lp_contribution_mode != "fixed":
+        cap = _uniform(0.0, cap, _double(words.random_raw(horizon_days)))
+    return np.where(occurs, cap, 0.0)
 
 
 # --- Vectorised decoding of many streams at once ----------------------------
-
-_UINT32_MAX = 0xFFFF_FFFF
-
 
 @dataclass(frozen=True)
 class StreamArrays:
@@ -393,20 +415,6 @@ class StreamArrays:
     defaults: np.ndarray
     delay: np.ndarray
     deposits: np.ndarray | None
-
-
-def _uniform(lo: float, hi: float, unit: np.ndarray) -> np.ndarray:
-    """``Generator.uniform`` applied to already drawn unit doubles."""
-    return lo + (hi - lo) * unit
-
-
-def _draw_layout(config: ScenarioConfig) -> tuple[int, bool, float]:
-    """Per invoice, doubles drawn before the bogus flag and whether a delay is drawn
-    (none for an empty range); and the LP deposit cap, 0.0 when deposits draw nothing."""
-    lead = (config.hack_q is None) + (config.amount_fraction_of_initial is None)
-    cap = config.lp_cap_fraction * config.initial_collateral
-    return (lead, config.delay_range_days[1] > config.delay_range_days[0],
-            cap if config.lp_contribution_probability > 0.0 else 0.0)
 
 
 def _words_before(index, per_invoice: int, draws_delay: bool):
@@ -426,26 +434,16 @@ def stream_words(config: ScenarioConfig) -> int:
 
 
 def decode_streams(config: ScenarioConfig, sim_indices) -> StreamArrays:
-    """What ``generate_stream`` and ``lp_contribution_schedule`` draw, for many
+    """What ``generate_stream`` and ``lp_contribution_schedule`` read, for many
     simulations at once and equal bit for bit.
 
-    Each simulation's generator output is read as raw PCG64 words
-    (``random_raw``) and decoded the way numpy's ``Generator`` consumes
-    them: a double is ``(word >> 11) * 2**-53`` and ``uniform(lo, hi)`` is
-    ``lo + (hi - lo) * double``.  Per invoice the draws follow
-    ``generate_invoice``.  Integer delays come from numpy's buffered
-    32-bit draws: the delays of invoices 2i and 2i+1 are the low and high
-    halves of one word, drawn right after invoice 2i's flags, each mapped
-    into range by Lemire's multiply-shift (D. Lemire, "Fast Random Integer
-    Generation in an Interval", 2019).  The LP schedule's draws follow
-    the stream.  A stream in which Lemire's method would reject a draw
-    (and draw again) is generated by ``generate_stream`` instead.  The
-    config envelope keeps the delay span far below 32 bits.
+    Each simulation's words are read in one ``random_raw`` call and
+    decoded as arrays by the same value rules (``_double``, ``_uniform``,
+    ``_delay``); the LP schedule's words follow the stream.
     """
     sims = list(sim_indices)
     n_sims, n, horizon = len(sims), config.n_invoices, config.horizon_days
     d_lo, d_hi = config.delay_range_days
-    span = d_hi - d_lo
     draws_q = config.hack_q is None
     lead, draws_delay, cap = _draw_layout(config)
     p_hack = config.hack_probability
@@ -453,15 +451,15 @@ def decode_streams(config: ScenarioConfig, sim_indices) -> StreamArrays:
     n_words = stream_words(config)
     raw = np.empty((n_sims, n_words), dtype=np.uint64)
     for row, sim_index in enumerate(sims):
-        raw[row] = simulation_rng(config.seed, sim_index).bit_generator.random_raw(n_words)
+        raw[row] = simulation_rng(config.seed, sim_index).random_raw(n_words)
     rows = np.arange(n_sims)[:, None]
 
     def unit(index: np.ndarray) -> np.ndarray:
-        """The doubles ``Generator.random`` makes of the words at ``index`` of each row."""
-        return (raw[rows[:, 0] if index.ndim == 1 else rows, index] >> 11) * 2.0**-53
+        """The unit doubles of the words at ``index`` of each row."""
+        return _double(raw[rows[:, 0] if index.ndim == 1 else rows, index])
 
     if 0.0 < p_hack < 1.0:
-        # the non-payment draw is skipped for bogus invoices, so each
+        # the non-payment word is skipped for bogus invoices, so each
         # invoice's position depends on the flags of the ones before it
         starts = np.empty((n_sims, n), dtype=np.int64)
         bogus = np.empty((n_sims, n), dtype=bool)
@@ -473,7 +471,7 @@ def decode_streams(config: ScenarioConfig, sim_indices) -> StreamArrays:
             offset += lead + 2 + (draws_delay and i % 2 == 0) - flag
         end = offset
     else:
-        # random() < 0 never holds and random() < 1 always does
+        # a unit double < 0 never holds and one < 1 always does
         always_bogus = p_hack >= 1.0
         per_invoice = lead + 2 - always_bogus
         starts = np.broadcast_to(_words_before(np.arange(n), per_invoice, draws_delay), (n_sims, n))
@@ -490,14 +488,10 @@ def decode_streams(config: ScenarioConfig, sim_indices) -> StreamArrays:
         amount = np.full((n_sims, n), config.amount_fraction_of_initial * config.initial_collateral)
     defaults = bogus | (unit(starts + lead + 1) < config.nonpayment_probability)
 
-    rejected = np.zeros(n_sims, dtype=bool)
     if draws_delay:
         pair_words = raw[rows, starts[:, 0::2] + lead + 2 - bogus[:, 0::2]]
-        halves = np.stack([pair_words & _UINT32_MAX, pair_words >> 32], axis=2)
-        scaled = halves.reshape(n_sims, -1)[:, :n] * np.uint64(span + 1)
-        threshold = (2**32 - (span + 1)) % (span + 1)
-        rejected = ((scaled & _UINT32_MAX) < threshold).any(axis=1)
-        delay = d_lo + (scaled >> 32).astype(np.int64)
+        halves = np.stack([pair_words & np.uint64(_UINT32_MAX), pair_words >> np.uint64(32)], axis=2)
+        delay = _delay(d_lo, d_hi, halves.reshape(n_sims, -1)[:, :n]).astype(np.int64)
     else:
         delay = np.full((n_sims, n), d_lo, dtype=np.int64)
 
@@ -509,21 +503,4 @@ def decode_streams(config: ScenarioConfig, sim_indices) -> StreamArrays:
                    else _uniform(0.0, cap, unit(days + horizon)))
         deposits = np.where(occurs, amounts, 0.0)
 
-    streams = StreamArrays(q=q, amount=amount, defaults=defaults, delay=delay, deposits=deposits)
-    for row in np.flatnonzero(rejected):
-        _fill_from_generator(streams, row, config, sims[row])
-    return streams
-
-
-def _fill_from_generator(
-    streams: StreamArrays, row: int, config: ScenarioConfig, sim_index: int
-) -> None:
-    """Overwrite one row with the reference generator's draws."""
-    rng = simulation_rng(config.seed, sim_index)
-    invoices = generate_stream(config, rng)
-    streams.q[row] = [inv.q for inv in invoices]
-    streams.amount[row] = [inv.demanded_collateral for inv in invoices]
-    streams.defaults[row] = [inv.defaults for inv in invoices]
-    streams.delay[row] = [inv.payment_delay_days for inv in invoices]
-    if streams.deposits is not None:
-        streams.deposits[row] = lp_contribution_schedule(config, rng)
+    return StreamArrays(q=q, amount=amount, defaults=defaults, delay=delay, deposits=deposits)

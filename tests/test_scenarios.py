@@ -11,7 +11,6 @@ from kellypool import (
     SWEEP_IDS,
     ConfigError,
     ScenarioConfig,
-    generate_invoice,
     generate_stream,
     lp_contribution_schedule,
     scenario_preset,
@@ -221,12 +220,14 @@ class TestPresets:
         assert config.nonpayment_probability == 0.20
 
 
+def first_invoice(config, seed=1):
+    return generate_stream(config.replace(n_invoices=1), simulation_rng(seed, 0))[0]
+
+
 class TestGenerateInvoice:
     def test_fields_within_ranges(self):
-        config = ScenarioConfig()
-        rng = simulation_rng(1, 0)
-        for day in range(200):
-            invoice = generate_invoice(day, config, rng)
+        config = ScenarioConfig(n_invoices=200)
+        for day, invoice in enumerate(generate_stream(config, simulation_rng(1, 0))):
             assert 0.05 <= invoice.q <= 0.49
             assert 100.0 <= invoice.demanded_collateral <= 2_000.0
             assert 30 <= invoice.payment_delay_days <= 120
@@ -234,23 +235,20 @@ class TestGenerateInvoice:
             assert not invoice.bogus and not invoice.accepted and not invoice.repaid
 
     def test_hack_invoices_are_bogus_with_fixed_share(self):
-        config = ScenarioConfig(hack_probability=1.0, hack_q=0.49)
-        rng = simulation_rng(1, 0)
-        invoice = generate_invoice(0, config, rng)
+        invoice = first_invoice(ScenarioConfig(hack_probability=1.0, hack_q=0.49))
         assert invoice.bogus and invoice.defaults
         assert invoice.q == 0.49
         assert 30 <= invoice.payment_delay_days <= 120
 
     def test_nonpayment_defaults_without_bogus_flag(self):
-        config = ScenarioConfig(nonpayment_probability=1.0)
-        invoice = generate_invoice(0, config, simulation_rng(1, 0))
+        invoice = first_invoice(ScenarioConfig(nonpayment_probability=1.0))
         assert not invoice.bogus
         assert invoice.defaults
         assert 30 <= invoice.payment_delay_days <= 120
 
     def test_flags_leave_the_draws_in_place(self):
-        # the delay is drawn whatever the flags, so flipping the
-        # non-payment probability between 0 and 1 moves no other draw
+        # the delay is read whatever the flags, so flipping the
+        # non-payment probability between 0 and 1 moves no other value
         paid = generate_stream(ScenarioConfig(n_invoices=30), simulation_rng(4, 0))
         unpaid = generate_stream(
             ScenarioConfig(n_invoices=30, nonpayment_probability=1.0), simulation_rng(4, 0)
@@ -261,13 +259,7 @@ class TestGenerateInvoice:
         assert not any(i.defaults for i in paid) and all(i.defaults for i in unpaid)
 
     def test_fixed_amount_mode(self):
-        config = scenario_preset("4.2")
-        invoice = generate_invoice(0, config, simulation_rng(1, 0))
-        assert invoice.demanded_collateral == 1_000.0
-
-    def test_negative_day_rejected(self):
-        with pytest.raises(ValueError):
-            generate_invoice(-1, ScenarioConfig(), simulation_rng(1, 0))
+        assert first_invoice(scenario_preset("4.2")).demanded_collateral == 1_000.0
 
 
 class TestGenerateStream:
@@ -319,11 +311,11 @@ class TestGenerateStream:
 class TestLpSchedule:
     def test_disabled_draws_nothing(self):
         config = ScenarioConfig()
-        rng = simulation_rng(1, 0)
-        before = rng.bit_generator.state
-        schedule = lp_contribution_schedule(config, rng)
+        words = simulation_rng(1, 0)
+        before = words.state
+        schedule = lp_contribution_schedule(config, words)
         assert np.all(schedule == 0.0)
-        assert rng.bit_generator.state == before
+        assert words.state == before
 
     def test_uniform_mode_bounded_by_cap(self):
         config = scenario_preset("1.4")  # cap 25% of 10,000
@@ -347,18 +339,18 @@ class TestLpSchedule:
 
 
 def reference_streams(config, sim_indices, with_deposits=True):
-    """``generate_stream`` plus the LP schedule, drawn from one generator per simulation.
+    """``generate_stream`` plus the LP schedule, read from one word stream per simulation.
 
     ``with_deposits=False`` skips the schedule, whose zero array would be
     as long as the horizon.
     """
     out = []
     for sim_index in sim_indices:
-        rng = simulation_rng(config.seed, sim_index)
-        invoices = generate_stream(config, rng)
+        words = simulation_rng(config.seed, sim_index)
+        invoices = generate_stream(config, words)
         deposits = None
         if with_deposits:
-            deposits = lp_contribution_schedule(config, rng)
+            deposits = lp_contribution_schedule(config, words)
         out.append((invoices, deposits))
     return out
 
@@ -402,24 +394,70 @@ class TestDecodeStreams:
         reference = reference_streams(config, sims, with_deposits=config.horizon_days < 10_000)
         assert_decoded_equal(decode_streams(config, sims), reference)
 
-    def test_wide_delay_range_falls_back_to_the_generator(self, monkeypatch):
-        # Lemire's method rejects 98,482 of every 2**32 draws for this span,
-        # which at seed 69 hits simulations 4 and 18; the LP draws follow the stream
+    def test_wide_delay_range_has_no_rejection(self):
+        # numpy's Generator.integers runs Lemire's method with rejection, which
+        # redraws 98,482 of every 2**32 half words for this span and at seed 69
+        # hits simulations 4 and 18; the word layout maps every half word once
         config = ScenarioConfig(n_invoices=400, delay_range_days=(1, 98_719), seed=69,
                                 lp_contribution_probability=0.3, lp_cap_fraction=0.01)
-        calls = []
-        original = scenarios.generate_stream
-        monkeypatch.setattr(
-            scenarios, "generate_stream",
-            lambda cfg, rng: calls.append(1) or original(cfg, rng),
-        )
         sims = list(range(20))
         decoded = decode_streams(config, sims)
-        assert len(calls) == 2
-        monkeypatch.undo()
+        assert_decoded_equal(decoded, reference_streams(config, sims))
+        moved = []
         for row, sim_index in enumerate(sims):
-            rng = simulation_rng(config.seed, sim_index)
-            invoices = generate_stream(config, rng)
-            assert decoded.delay[row].tolist() == [inv.payment_delay_days for inv in invoices]
-            assert decoded.q[row].tolist() == [inv.q for inv in invoices]
-            assert decoded.deposits[row].tobytes() == lp_contribution_schedule(config, rng).tobytes()
+            generator = np.random.Generator(simulation_rng(config.seed, sim_index))
+            delays = []
+            for _ in range(config.n_invoices):
+                generator.random(4)  # q, amount and both flags: one word each
+                delays.append(int(generator.integers(1, 98_719, endpoint=True)))
+            if decoded.delay[row].tolist() != delays:
+                moved.append(sim_index)
+        assert moved == [4, 18]
+
+
+def test_values_are_defined_on_raw_words():
+    # Every value computed by hand from the raw words.  A partial hack makes
+    # bogus invoices skip their non-payment word; five invoices leave the
+    # high half of the last delay word unread.
+    config = ScenarioConfig(n_invoices=5, q_range=(0.1, 0.4), amount_range=(100.0, 2_000.0),
+                            delay_range_days=(30, 120), hack_probability=0.5,
+                            nonpayment_probability=0.5, lp_contribution_probability=0.5,
+                            lp_cap_fraction=0.01, seed=11)
+    sim_index = 3
+    raw = np.random.PCG64(np.random.SeedSequence(11, spawn_key=(sim_index,))).random_raw(400)
+    words = iter(int(w) for w in raw)
+
+    def double():
+        return (next(words) >> 11) / 2**53
+
+    expected = []
+    for day in range(5):
+        q = 0.1 + (0.4 - 0.1) * double()
+        amount = 100.0 + (2_000.0 - 100.0) * double()
+        bogus = double() < 0.5
+        defaults = bogus or double() < 0.5
+        if day % 2 == 0:
+            word = next(words)
+            halves = [word & 0xFFFF_FFFF, word >> 32]
+        delay = 30 + ((halves.pop(0) * 91) >> 32)
+        expected.append((q, amount, bogus, defaults, delay))
+    assert {bogus for _, _, bogus, _, _ in expected} == {False, True}
+    horizon = config.horizon_days
+    occurs = [double() < 0.5 for _ in range(horizon)]
+    cap = 0.01 * 10_000.0
+    amounts = [cap * double() for _ in range(horizon)]  # uniform in [0, cap)
+    deposits = [amount if day_occurs else 0.0 for day_occurs, amount in zip(occurs, amounts)]
+    assert any(deposits)
+
+    invoices = generate_stream(config, simulation_rng(11, sim_index))
+    assert [(i.q, i.demanded_collateral, i.bogus, i.defaults, i.payment_delay_days)
+            for i in invoices] == expected
+    words_read = simulation_rng(11, sim_index)
+    generate_stream(config, words_read)
+    assert lp_contribution_schedule(config, words_read).tolist() == deposits
+    decoded = decode_streams(config, [sim_index])
+    assert decoded.q[0].tolist() == [q for q, _, _, _, _ in expected]
+    assert decoded.amount[0].tolist() == [amount for _, amount, _, _, _ in expected]
+    assert decoded.defaults[0].tolist() == [defaults for _, _, _, defaults, _ in expected]
+    assert decoded.delay[0].tolist() == [delay for _, _, _, _, delay in expected]
+    assert decoded.deposits[0].tolist() == deposits
