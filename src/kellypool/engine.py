@@ -188,7 +188,7 @@ def run_simulation(config: ScenarioConfig, sim_index: int = 0) -> SimulationResu
     for day in range(horizon):
         series[day] = pool.liquidity, pool.premium_reserve, pool.volume, pool.cumulative_withdrawn
 
-        arriving = invoices[day] if day < config.n_arrivals else None
+        arriving = invoices[day] if day < len(invoices) else None
         outcome = run_day(pool, day, due.pop(day, ()), arriving, config, float(deposits[day]))
         if isinstance(outcome, PremiumQuote) and not arriving.defaults and arriving.due_day < horizon:
             due.setdefault(arriving.due_day, []).append(arriving)
@@ -263,7 +263,7 @@ def _mean_metrics(per_run: np.recarray) -> np.record:
     the order of the runs; the constant counts come back exact.
     """
     n = len(per_run)
-    _, *means = (math.fsum(column) / n for column in zip(*per_run.tolist()))
+    means = (math.fsum(per_run[name].tolist()) / n for name in METRIC_FIELDS[1:])
     mean = np.rec.fromrecords([(n, *means)], dtype=_RUN_DTYPE)
     mean.flags.writeable = False  # every config of the batch's group shares it
     return mean[0]
@@ -610,9 +610,9 @@ def _invoice_tables(stream_configs: list[ScenarioConfig], sims: range, horizon: 
     -1 when it defaults or would come back past its stream's horizon; the
     depth is the most invoices that one column has due on one day.
     Deposits are zero past a stream's horizon, up to ``horizon``; the
-    deposit table is None when no stream has deposits.  Each stream is
-    decoded in chunks of consecutive simulations of at most
-    ``_DECODE_WORDS`` raw words (or one simulation), copied in one by one.
+    deposit table is None when no stream has deposits.  A stream decodes
+    just its arrivals, in chunks of consecutive simulations of at most
+    ``_DECODE_WORDS`` raw words (or one simulation), each copied whole.
     """
     n_sims = len(sims)
     n_rows = max(config.n_arrivals for config in stream_configs)
@@ -629,10 +629,10 @@ def _invoice_tables(stream_configs: list[ScenarioConfig], sims: range, horizon: 
             stream = decode_streams(config, sims[start:start + step])
             width = len(stream.q)
             columns = slice(unit * n_sims + start, unit * n_sims + start + width)
-            q[:n, columns] = stream.q[:, :n].T
-            amount[:n, columns] = stream.amount[:, :n].T
-            due_day = np.arange(n)[:, None] + stream.delay[:, :n].T
-            due_day[stream.defaults[:, :n].T | (due_day >= config.horizon_days)] = -1
+            q[:n, columns] = stream.q.T
+            amount[:n, columns] = stream.amount.T
+            due_day = np.arange(n)[:, None] + stream.delay.T
+            due_day[stream.defaults.T | (due_day >= config.horizon_days)] = -1
             due[:n, columns] = due_day
             # one key per (due day, column) of each invoice that can repay,
             # in int64: due_day * width can pass 2**31

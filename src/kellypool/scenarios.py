@@ -345,20 +345,20 @@ def _draw_layout(config: ScenarioConfig) -> tuple[int, bool, float]:
 
 
 def generate_stream(config: ScenarioConfig, words: np.random.PCG64) -> list[Invoice]:
-    """The invoice stream, one arrival per day from day 0, read one word at a time.
+    """The invoices that arrive, one a day from day 0, read one word at a time.
 
-    Per invoice the words are, in order: q (unless ``hack_q`` fixes it),
-    the amount (unless it is a fixed fraction), the bogus flag, the
-    non-payment flag (not read for a bogus invoice) and the delay.  The
-    delays of invoices 2i and 2i+1 are the low and high halves of one
-    word, read right after invoice 2i's flags.  Bogus and flagged-unpaid
-    invoices are marked ``defaults`` and never repay.
+    Only the first ``n_arrivals`` are drawn.  Per invoice the words are, in
+    order: q (unless ``hack_q`` fixes it), the amount (unless it is a fixed
+    fraction), the bogus flag, the non-payment flag (not read for a bogus
+    invoice) and the delay.  The delays of invoices 2i and 2i+1 are the low
+    and high halves of one word, read right after invoice 2i's flags.  Bogus
+    and flagged-unpaid invoices are marked ``defaults`` and never repay.
     """
     _, draws_delay, _ = _draw_layout(config)
     d_lo, d_hi = config.delay_range_days
     invoices = []
     pending = None  # the high half of the last delay word, for the next invoice
-    for day in range(config.n_invoices):
+    for day in range(config.n_arrivals):
         q = config.hack_q
         if q is None:
             q = _uniform(*config.q_range, _double(words.random_raw()))
@@ -406,8 +406,8 @@ class StreamArrays:
     """Invoice streams and LP deposit schedules of several simulations.
 
     Row ``r`` belongs to the r-th requested simulation index.  Invoice
-    fields have one column per invoice; ``deposits`` has one column per
-    day of the horizon and is None when the config has no LP deposits.
+    fields have one column per arriving invoice; ``deposits`` has one
+    column per day of the horizon and is None without LP deposits.
     """
 
     q: np.ndarray
@@ -427,7 +427,7 @@ def stream_words(config: ScenarioConfig) -> int:
     lead, draws_delay, cap = _draw_layout(config)
     lp_words = 1 if config.lp_contribution_mode == "fixed" else 2
     return (
-        _words_before(config.n_invoices, lead + 2, draws_delay)
+        _words_before(config.n_arrivals, lead + 2, draws_delay)
         + (config.horizon_days * lp_words if cap else 0)
         + 1  # a non-payment flag index past a trailing bogus invoice stays in bounds
     )
@@ -439,10 +439,10 @@ def decode_streams(config: ScenarioConfig, sim_indices) -> StreamArrays:
 
     Each simulation's words are read in one ``random_raw`` call and
     decoded as arrays by the same value rules (``_double``, ``_uniform``,
-    ``_delay``); the LP schedule's words follow the stream.
+    ``_delay``); the LP schedule's words follow the last arriving invoice.
     """
     sims = list(sim_indices)
-    n_sims, n, horizon = len(sims), config.n_invoices, config.horizon_days
+    n_sims, n, horizon = len(sims), config.n_arrivals, config.horizon_days
     d_lo, d_hi = config.delay_range_days
     draws_q = config.hack_q is None
     lead, draws_delay, cap = _draw_layout(config)

@@ -13,6 +13,8 @@ from kellypool import (
     ScenarioConfig,
     generate_stream,
     lp_contribution_schedule,
+    run_batch,
+    run_simulation,
     scenario_preset,
     simulation_rng,
 )
@@ -449,15 +451,34 @@ def test_values_are_defined_on_raw_words():
     deposits = [amount if day_occurs else 0.0 for day_occurs, amount in zip(occurs, amounts)]
     assert any(deposits)
 
-    invoices = generate_stream(config, simulation_rng(11, sim_index))
-    assert [(i.q, i.demanded_collateral, i.bogus, i.defaults, i.payment_delay_days)
-            for i in invoices] == expected
-    words_read = simulation_rng(11, sim_index)
-    generate_stream(config, words_read)
-    assert lp_contribution_schedule(config, words_read).tolist() == deposits
-    decoded = decode_streams(config, [sim_index])
-    assert decoded.q[0].tolist() == [q for q, _, _, _, _ in expected]
-    assert decoded.amount[0].tolist() == [amount for _, amount, _, _, _ in expected]
-    assert decoded.defaults[0].tolist() == [defaults for _, _, _, defaults, _ in expected]
-    assert decoded.delay[0].tolist() == [delay for _, _, _, _, delay in expected]
-    assert decoded.deposits[0].tolist() == deposits
+    # An entry window of five days keeps invoices 5-7 from arriving, so they
+    # are never drawn and the LP words still start right after invoice 4's.
+    windowed = config.replace(n_invoices=8, max_entry_days=5)
+    assert windowed.horizon_days == horizon
+    for config in (config, windowed):
+        invoices = generate_stream(config, simulation_rng(11, sim_index))
+        assert len(invoices) == 5
+        assert [(i.q, i.demanded_collateral, i.bogus, i.defaults, i.payment_delay_days)
+                for i in invoices] == expected
+        words_read = simulation_rng(11, sim_index)
+        generate_stream(config, words_read)
+        assert lp_contribution_schedule(config, words_read).tolist() == deposits
+        decoded = decode_streams(config, [sim_index])
+        assert decoded.q[0].tolist() == [q for q, _, _, _, _ in expected]
+        assert decoded.amount[0].tolist() == [amount for _, amount, _, _, _ in expected]
+        assert decoded.defaults[0].tolist() == [defaults for _, _, _, defaults, _ in expected]
+        assert decoded.delay[0].tolist() == [delay for _, _, _, _, delay in expected]
+        assert decoded.deposits[0].tolist() == deposits
+
+
+def test_invoices_past_the_entry_window_change_nothing():
+    # the same 500 invoices arrive whatever n_invoices is past the window
+    batches = [
+        run_batch(scenario_preset("1.2", max_entry_days=500, n_invoices=n, n_simulations=4))
+        for n in (500, 600, 5_000)
+    ]
+    for batch in batches[1:]:
+        assert batch.per_run.tobytes() == batches[0].per_run.tobytes()
+        assert batch.mean_series.table.tobytes() == batches[0].mean_series.table.tobytes()
+    config = batches[-1].config
+    assert len(run_simulation(config, 0).invoices) == config.n_arrivals == 500
